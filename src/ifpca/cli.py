@@ -9,8 +9,8 @@ import numpy as np
 
 from . import acm, pipeline, screen
 from .errors import (EmptySelection, IfpcaError, InvalidConfig, InvalidK,
-                     KTooLarge, NoConvergence, NoEligibleIndex,
-                     UnknownExperiment, ZeroSpread, ZeroVarianceColumn)
+                     NoEligibleIndex, UnknownExperiment, ZeroSpread,
+                     ZeroVarianceColumn)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -22,9 +22,9 @@ EXIT_EMPTY = 5
 def _exit_code(exc):
     if isinstance(exc, (EmptySelection, NoEligibleIndex)):
         return EXIT_EMPTY
-    if isinstance(exc, (NoConvergence, ZeroSpread)):
+    if isinstance(exc, ZeroSpread):
         return EXIT_NUMERICAL
-    if isinstance(exc, (ZeroVarianceColumn, InvalidK, KTooLarge)):
+    if isinstance(exc, (ZeroVarianceColumn, InvalidK)):
         return EXIT_DATA
     if isinstance(exc, (InvalidConfig, UnknownExperiment)):
         return EXIT_USAGE
@@ -164,21 +164,10 @@ def cmd_tailcheck(args):
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.alt:
         # Useful-feature left tail: empirical miss rate vs the Gaussian bound.
-        fields = dict(part.split("=") for part in args.alt.split(";"))
-        delta = [float(v) for v in fields["delta"].split(",")]
-        m = [float(v) for v in fields["m"].split(",")]
+        delta, m = args.alt
         k = len(delta)
         tau_j = float(acm.tau(np.array(m)[:, None], delta, args.n)[0])
-        rng = np.random.default_rng(args.seed)
-        psis = np.empty(args.reps)
-        chunk = max(1, 4_000_000 // args.n)
-        done = 0
-        while done < args.reps:
-            b = min(chunk, args.reps - done)
-            labels = rng.choice(k, size=(b, args.n), p=delta)
-            z = rng.standard_normal((b, args.n)) + np.take(m, labels)
-            psis[done:done + b] = screen._null_psi_batch(z)
-            done += b
+        psis = screen.simulate_alt_scores(args.n, args.reps, delta, m, args.seed)
         writer.writerow(["t", "empirical_miss", "bound"])
         for t in grid:
             miss = float(np.mean(psis <= t))
@@ -198,6 +187,34 @@ def cmd_tailcheck(args):
     return EXIT_OK
 
 
+def _threshold_arg(spec):
+    try:
+        pipeline.parse_threshold(spec)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return spec
+
+
+# numpy's own tolerance on a probability vector's sum (Generator.choice).
+_DELTA_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _alt_arg(spec):
+    """'delta=d1,..,dK;m=m1,..,mK' -> (delta, m), both lists of K finite floats."""
+    try:
+        fields = dict(part.split("=", 1) for part in spec.split(";"))
+        delta = [float(v) for v in fields["delta"].split(",")]
+        m = [float(v) for v in fields["m"].split(",")]
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected 'delta=d1,..,dK;m=m1,..,mK', got {spec!r}") from None
+    if not (len(delta) == len(m) and all(math.isfinite(v) for v in delta + m)
+            and min(delta) >= 0 and abs(sum(delta) - 1.0) <= _DELTA_SUM_TOL):
+        raise argparse.ArgumentTypeError(
+            "delta and m need K finite values each, delta a probability vector")
+    return delta, m
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="ifpca",
                                 description="KS-screened spectral clustering")
@@ -210,7 +227,7 @@ def build_parser():
     c.add_argument("--method", default="ifpca", choices=pipeline.METHODS)
     c.add_argument("--norm", default="meanstd",
                    choices=["none", "meanstd", "medmad", "lower50"])
-    c.add_argument("--threshold", default="hc")
+    c.add_argument("--threshold", default="hc", type=_threshold_arg)
     c.add_argument("--null-table")
     c.add_argument("--null-reps", type=int, default=0)
     c.add_argument("--replicates", type=int, default=30)
@@ -248,7 +265,8 @@ def build_parser():
     k.add_argument("--n", type=int, required=True)
     k.add_argument("--reps", type=int, required=True)
     k.add_argument("--grid", required=True, help="comma-separated thresholds")
-    k.add_argument("--alt", help="useful-feature spec 'delta=...;m=...'")
+    k.add_argument("--alt", type=_alt_arg,
+                   help="useful-feature spec 'delta=d1,..,dK;m=m1,..,mK'")
     k.add_argument("--seed", type=int, default=0)
     k.add_argument("--threads", type=int, default=1)
     k.set_defaults(func=cmd_tailcheck)
@@ -263,10 +281,7 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except IfpcaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _exit_code(e)
-    except (OSError, ValueError) as e:
+    except (IfpcaError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _exit_code(e)
 

@@ -1,13 +1,13 @@
 """Clustering engines: Lloyd k-means with replicates, k-means++ seeding,
-complete-linkage agglomerative clustering, and permutation-minimized Hamming error."""
+complete-linkage agglomerative clustering, and relabeling-minimized Hamming error."""
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidK, KTooLarge
+from .errors import InvalidK
 
 LLOYD_MAX_ITER = 300
 
@@ -154,20 +154,19 @@ def hierarchical_complete(points, k):
 
 
 def hamming_error(yhat, y, k):
-    """Fraction of mismatches, minimized over all K! relabelings of the truth."""
+    """Fraction of mismatches, minimized over all K! relabelings of the truth.
+
+    The best relabeling is a maximum-weight assignment on the confusion
+    matrix (Kuhn 1955), exact for any K.
+    """
     yhat = np.asarray(yhat)
     y = np.asarray(y)
     if yhat.size != y.size:
         raise ValueError("label vectors must have equal length")
-    if k > 10:
-        raise KTooLarge(f"K={k} exceeds the exact-enumeration limit of 10")
     n = y.size
     # Confusion counts: C[a, b] = #{i : yhat_i = a+1, y_i = b+1}.
     conf = np.zeros((k, k), dtype=np.int64)
     np.add.at(conf, (yhat - 1, y - 1), 1)
-    best = 0
-    for perm in itertools.permutations(range(k)):
-        agree = sum(conf[perm[b], b] for b in range(k))
-        if agree > best:
-            best = agree
+    rows, cols = linear_sum_assignment(conf, maximize=True)
+    best = int(conf[rows, cols].sum())
     return (n - best) / n

@@ -11,14 +11,8 @@ class ZeroVarianceColumn(IfpcaError):
         super().__init__(f"column {column} has zero variance")
 
 
-class NoConvergence(IfpcaError):
-    def __init__(self, max_iter):
-        self.max_iter = max_iter
-        super().__init__(f"orthogonal iteration did not converge in {max_iter} sweeps")
-
-
 class DegenerateGapWarning(UserWarning):
-    """Trailing singular-value gap smaller than tol * sigma_1; subspace ill-determined."""
+    """Trailing singular-value gap below matrix.GAP_TOL * sigma_1; subspace ill-determined."""
 
 
 class ZeroSpread(IfpcaError):
@@ -34,10 +28,6 @@ class NoEligibleIndex(IfpcaError):
 
 
 class InvalidK(IfpcaError):
-    pass
-
-
-class KTooLarge(IfpcaError):
     pass
 
 

@@ -4,8 +4,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
-from .errors import DegenerateGapWarning, NoConvergence, ZeroVarianceColumn
+from .errors import DegenerateGapWarning, ZeroVarianceColumn
+
+# Relative trailing-gap size below which the leading subspace is flagged.
+GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -91,54 +95,29 @@ def _fix_signs(u):
     return u * signs
 
 
-def truncated_left_svd(a, k, tol=1e-10, max_iter=20000):
-    """Leading k left singular vectors/values of a, by orthogonal iteration.
+def truncated_left_svd(a, k):
+    """Leading k left singular vectors/values of a, from one eigendecomposition.
 
-    The iteration runs on the smaller Gram matrix (a a' when n <= p), with
-    Rayleigh-Ritz rotation each sweep.  Warns DegenerateGapWarning when the
-    k-th and (k+1)-th singular values are separated by less than tol * sigma_1.
+    One symmetric eigensolver call gives the top min(k+1, m) eigenpairs of the
+    smaller Gram matrix (a a' when n <= p, else a' a, of order m); on the tall
+    side u = a v / sigma, re-orthonormalized.  Warns DegenerateGapWarning when
+    the k-th and (k+1)-th singular values are closer than GAP_TOL * sigma_1.
     """
     a = np.asarray(a, dtype=np.float64)
     n, p = a.shape
     if not 1 <= k <= min(n, p):
         raise ValueError(f"k={k} must lie in [1, min(n, p)={min(n, p)}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     left_side = n <= p
     g = a @ a.T if left_side else a.T @ a
     m = g.shape[0]
-    # One extra Ritz vector (when available) to measure the trailing gap.
     kb = min(k + 1, m)
-
-    rng = np.random.default_rng(0)
-    q = np.linalg.qr(rng.standard_normal((m, kb)))[0]
-    eigs = np.zeros(kb)
-    converged = False
-    for _ in range(max_iter):
-        z = g @ q
-        q_new, _ = np.linalg.qr(z)
-        # Ritz rotation keeps individual columns aligned with eigenvectors.
-        b = q_new.T @ g @ q_new
-        evals, vecs = np.linalg.eigh(b)
-        order = np.argsort(evals)[::-1]
-        eigs = evals[order]
-        q_new = q_new @ vecs[:, order]
-        q = q_new
-        # Residual test on the leading k Ritz pairs; a subspace-drift test
-        # would never settle when eigenvalues are degenerate (the Ritz
-        # rotation is arbitrary inside a repeated eigenspace).
-        resid = np.linalg.norm(g @ q[:, :k] - q[:, :k] * eigs[:k], ord="fro")
-        scale = eigs[0] if eigs[0] > 0 else 1.0
-        if resid <= tol * scale:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(max_iter)
+    evals, vecs = eigh(g, subset_by_index=[m - kb, m - 1])
+    eigs, q = evals[::-1], vecs[:, ::-1]
 
     sigma = np.sqrt(np.clip(eigs, 0.0, None))
-    if kb > k and sigma[0] > 0 and (sigma[k - 1] - sigma[k]) < tol * sigma[0]:
-        warnings.warn("singular-value gap below tol * sigma_1", DegenerateGapWarning)
+    if kb > k and sigma[0] > 0 and (sigma[k - 1] - sigma[k]) < GAP_TOL * sigma[0]:
+        warnings.warn("singular-value gap below GAP_TOL * sigma_1", DegenerateGapWarning)
     sigma = sigma[:k]
 
     if left_side:

@@ -89,8 +89,8 @@ def parse_threshold(spec):
         return "fixed", t
     if spec.startswith("fixed-q:"):
         q = float(spec.split(":", 1)[1])
-        if q <= 0:
-            raise ValueError("fixed-q threshold needs q~ > 0")
+        if not (math.isfinite(q) and q > 0):
+            raise ValueError("fixed-q threshold needs a finite q~ > 0")
         return "fixed-q", q
     raise ValueError(f"unknown threshold rule: {spec}")
 

@@ -11,7 +11,8 @@ from .errors import EmptySelection, ZeroSpread
 # Consistency factor making MAD match the SD under normality.
 MAD_SCALE = 1.4826
 
-# Fixed so that null-table contents do not depend on the worker count.
+# Rows per chunk of draws are this over n: fixed so that null-table contents
+# do not depend on the worker count.
 _NULL_CHUNK_TARGET = 4_000_000
 
 
@@ -53,43 +54,40 @@ class FeatureSet:
         return self.indices.size
 
 
-def ks_of_standardized(v):
-    """sqrt(n) * sup-distance between the empirical CDF of v and the N(0,1) CDF.
+def _ks_of_sorted(srt, axis):
+    """sqrt(n) * max over `axis` of max(i/n - Phi, Phi - (i-1)/n), srt sorted along `axis`.
 
-    Uses the closed form over the sorted values: the sup is attained at a jump
-    point of the empirical CDF, from one side or the other.
+    The closed form of the sup-distance between the empirical CDF and the
+    N(0,1) CDF: the sup is attained at a jump point, from one side or the other.
     """
+    n = srt.shape[axis]
+    phi = ndtr(srt)
+    # 1..n laid along `axis`, broadcasting over the axes after it.
+    i = np.arange(1.0, n + 1).reshape([n] + [1] * (srt.ndim - 1 - axis))
+    d = np.maximum(i / n - phi, phi - (i - 1.0) / n)
+    return np.sqrt(n) * d.max(axis=axis)
+
+
+def ks_of_standardized(v):
+    """sqrt(n) * sup-distance between the empirical CDF of v and the N(0,1) CDF."""
     v = np.asarray(v, dtype=np.float64)
-    n = v.size
-    if n < 1:
+    if v.size < 1:
         raise ValueError("need at least one value")
-    w = np.sort(v)
-    phi = ndtr(w)
-    i = np.arange(1, n + 1)
-    d = np.maximum(i / n - phi, phi - (i - 1) / n)
-    return float(np.sqrt(n) * d.max())
+    return float(_ks_of_sorted(np.sort(v), axis=0))
 
 
 def ks_scores(w):
     """KS score of every column of a StandardizedMatrix (vectorized over columns)."""
     vals = w.values
-    n = vals.shape[0]
-    srt = np.sort(vals, axis=0)
-    phi = ndtr(srt)
-    i = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    d = np.maximum(i / n - phi, phi - (i - 1.0) / n)
-    return KsScores(scores=np.sqrt(n) * d.max(axis=0), n=n)
+    return KsScores(scores=_ks_of_sorted(np.sort(vals, axis=0), axis=0),
+                    n=vals.shape[0])
 
 
 def _null_psi_batch(z):
-    """KS scores for a batch of null draws, one draw per row, after row standardization."""
+    """KS scores for a batch of draws, one draw per row, after row standardization."""
     z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1, keepdims=True)
     z.sort(axis=1)
-    n = z.shape[1]
-    phi = ndtr(z)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d = np.maximum(i / n - phi, phi - (i - 1.0) / n)
-    return np.sqrt(n) * d.max(axis=1)
+    return _ks_of_sorted(z, axis=1)
 
 
 def build_null_table(n, reps, seed, threads=1):
@@ -122,9 +120,46 @@ def build_null_table(n, reps, seed, threads=1):
     return NullTable(n=n, seed=seed, values=values)
 
 
+def simulate_alt_scores(n, reps, delta, m, seed):
+    """`reps` draws of the screening statistic at a useful feature: n samples
+    N(m[c], 1) with class c ~ delta, scored as build_null_table scores its
+    draws, from one generator in chunks of build_null_table's size."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    m = np.asarray(m, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    psis = np.empty(reps)
+    chunk = max(1, _NULL_CHUNK_TARGET // n)
+    for start in range(0, reps, chunk):
+        b = min(chunk, reps - start)
+        labels = rng.choice(m.size, size=(b, n), p=delta)
+        z = rng.standard_normal((b, n)) + m[labels]
+        psis[start:start + b] = _null_psi_batch(z)
+    return psis
+
+
 def default_null_size(p):
     """Desk-scale default table size; resolution stays far below 1/p."""
     return max(10**6, 100 * p)
+
+
+def _center_scale(v, mode, what):
+    """(center, scale) of v: mean and SD for 'meanstd', median and MAD_SCALE * MAD
+    for 'medmad'.  Raises ZeroSpread, naming `what`, when the spread is zero."""
+    if mode == "meanstd":
+        sd = v.std(ddof=1)
+        if sd == 0:
+            raise ZeroSpread(f"SD of {what} is zero")
+        return v.mean(), sd
+    if mode == "medmad":
+        med = np.median(v)
+        mad = np.median(np.abs(v - med))
+        if mad == 0:
+            raise ZeroSpread(f"MAD of {what} is zero")
+        return med, MAD_SCALE * mad
+    raise ValueError(f"unknown normalization mode: {mode}")
 
 
 def normalize_scores(ks, mode, null=None):
@@ -134,28 +169,16 @@ def normalize_scores(ks, mode, null=None):
         return ks
     if s.size < 2:
         raise ValueError("need at least 2 scores to normalize")
-    if mode == "meanstd":
-        sd = s.std(ddof=1)
-        if sd == 0:
-            raise ZeroSpread("SD of KS scores is zero")
-        out = (s - s.mean()) / sd
-    elif mode == "medmad":
-        med = np.median(s)
-        mad = np.median(np.abs(s - med))
-        if mad == 0:
-            raise ZeroSpread("MAD of KS scores is zero")
-        out = (s - med) / (MAD_SCALE * mad)
-    elif mode == "lower50":
+    if mode == "lower50":
         if null is None:
             raise ValueError("lower50 normalization requires a null table")
         low_obs = np.sort(s)[: s.size // 2]
         low_null = null.values[: null.size // 2]
-        sd_obs = low_obs.std(ddof=1)
-        if sd_obs == 0:
-            raise ZeroSpread("SD of the lower half of KS scores is zero")
-        out = (s - low_obs.mean()) / sd_obs * low_null.std(ddof=1) + low_null.mean()
+        center, scale = _center_scale(low_obs, "meanstd", "the lower half of KS scores")
+        out = (s - center) / scale * low_null.std(ddof=1) + low_null.mean()
     else:
-        raise ValueError(f"unknown normalization mode: {mode}")
+        center, scale = _center_scale(s, mode, "KS scores")
+        out = (s - center) / scale
     return KsScores(scores=out, n=ks.n, normalization=mode)
 
 
@@ -170,18 +193,8 @@ def null_reference_values(null, mode):
     v = null.values
     if mode in ("none", "lower50"):
         return v
-    if mode == "meanstd":
-        sd = v.std(ddof=1)
-        if sd == 0:
-            raise ZeroSpread("SD of null table is zero")
-        return (v - v.mean()) / sd
-    if mode == "medmad":
-        med = np.median(v)
-        mad = np.median(np.abs(v - med))
-        if mad == 0:
-            raise ZeroSpread("MAD of null table is zero")
-        return (v - med) / (MAD_SCALE * mad)
-    raise ValueError(f"unknown normalization mode: {mode}")
+    center, scale = _center_scale(v, mode, "null table")
+    return (v - center) / scale
 
 
 def pvalues(scores, null_values):

@@ -63,16 +63,7 @@ def test_acceptance_2_useful_feature_power():
     tau_val = acm.tau(contrasts[:, None], delta, n)[0]
     assert abs(tau_val - 2 * t) < 1e-12
 
-    rng = np.random.default_rng(303)
-    psis = np.empty(reps)
-    chunk = 4000
-    done = 0
-    while done < reps:
-        b = min(chunk, reps - done)
-        labels = rng.choice(2, size=(b, n), p=delta)
-        z = rng.standard_normal((b, n)) + contrasts[labels]
-        psis[done:done + b] = screen._null_psi_batch(z)
-        done += b
+    psis = screen.simulate_alt_scores(n, reps, delta, contrasts, seed=303)
     miss = float(np.mean(psis <= t))
     ok = miss < 0.05
     report(2, "useful-feature power", ok, f"miss={miss:.4f} at t={t:.4f}")

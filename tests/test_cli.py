@@ -162,3 +162,22 @@ def test_tailcheck_negative_grid_is_usage_error(capsys):
     code, _, _ = run(["tailcheck", "--n", "50", "--reps", "100",
                       "--grid", "-1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cluster", "--threshold", "fixed-q:nan"], 2),
+    (["cluster", "--threshold", "fixed-q:inf"], 2),
+    (["cluster", "--threshold", "fixed:nan"], 2),
+    (["tailcheck", "--alt", "delta=0.5,0.5"], 2),
+    (["tailcheck", "--alt", "foo"], 2),
+    (["tailcheck", "--alt", "delta=0.5,0.5;m=1"], 2),
+    (["tailcheck", "--alt", "delta=0.5,0.6;m=1,-1"], 2),
+    (["tailcheck", "--n", "0", "--alt", "delta=0.5,0.5;m=1,-1"], 3),
+])
+def test_malformed_argv_exit_code(argv, code, blob_csv, capsys):
+    # argv options given after the common ones override them
+    xpath, _ = blob_csv
+    common = {"cluster": ["--input", xpath, "--k", "2", "--norm", "none"],
+              "tailcheck": ["--n", "50", "--reps", "100", "--grid", "0.5"]}
+    got, _, _ = run(argv[:1] + common[argv[0]] + argv[1:], capsys)
+    assert got == code

@@ -5,7 +5,7 @@ import pytest
 
 from ifpca.cluster import (hamming_error, hierarchical_complete, kmeans,
                            kmeanspp_seed)
-from ifpca.errors import InvalidK, KTooLarge
+from ifpca.errors import InvalidK
 
 
 def hamming_oracle(yhat, y, k):
@@ -142,10 +142,24 @@ def test_hamming_examples():
     assert hamming_error(yhat, y, 2) == pytest.approx(0.25)
 
 
-def test_hamming_k_too_large():
-    y = np.ones(5, dtype=int)
-    with pytest.raises(KTooLarge):
-        hamming_error(y, y, 11)
+def test_hamming_k12_known_answers():
+    # K = 12 is past brute-force reach (12! relabelings); the answers are
+    # known by construction.  Five points per class; moving r <= K points,
+    # at most one out of each class, leaves the relabeling optimal, since
+    # any other assignment gives up >= 4 agreements to gain <= 1.
+    k, size = 12, 5
+    rng = np.random.default_rng(8)
+    y = np.repeat(np.arange(1, k + 1), size)
+    n = y.size
+    relabel = rng.permutation(k) + 1
+    yhat = relabel[y - 1]
+    assert hamming_error(yhat, y, k) == 0.0
+    for r in range(k + 1):
+        moved = yhat.copy()
+        for c in range(r):
+            i = c * size  # first point of class c + 1
+            moved[i] = relabel[(c + 1) % k]
+        assert hamming_error(moved, y, k) == r / n
 
 
 def test_hamming_matches_oracle():

@@ -40,7 +40,8 @@ def test_parse_threshold():
     assert parse_threshold("hc") == ("hc", None)
     assert parse_threshold("fixed:1.5") == ("fixed", 1.5)
     assert parse_threshold("fixed-q:0.06") == ("fixed-q", 0.06)
-    for bad in ("fixed:inf", "fixed-q:0", "quantile:0.9"):
+    for bad in ("fixed:inf", "fixed-q:0", "fixed-q:nan", "fixed-q:inf",
+                "quantile:0.9"):
         with pytest.raises(ValueError):
             parse_threshold(bad)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from ifpca.errors import EmptySelection, ZeroSpread
@@ -85,13 +87,15 @@ def test_ks_scores_affine_invariant():
         assert s == pytest.approx(base, abs=1e-12)
 
 
-def test_ks_scores_match_columnwise_calls():
-    rng = np.random.default_rng(15)
-    w = standardize_columns(rng.standard_normal((25, 10)))
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 300), p=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_ks_scores_match_columnwise_calls(n, p, seed):
+    # Both go through one KS kernel, so the agreement is exact.
+    rng = np.random.default_rng(seed)
+    w = standardize_columns(rng.standard_normal((n, p)))
     vec = ks_scores(w).scores
-    for j in range(10):
-        assert vec[j] == pytest.approx(ks_of_standardized(w.values[:, j]),
-                                       abs=1e-14)
+    for j in range(p):
+        assert vec[j] == ks_of_standardized(w.values[:, j])
 
 
 def test_normalize_meanstd_symmetric():
