@@ -128,9 +128,6 @@ def simulate_one(cfg, methods, reps, seed, null_cache, null_reps=0, threads=1):
 
 
 def cmd_simulate(args):
-    if args.reps is not None and args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     configs = _simulate_configs(args)
     methods = args.methods.split(",")
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -195,6 +192,16 @@ def _threshold_arg(spec):
     return spec
 
 
+def _int_at_least(least):
+    """argparse type for a count: an integer >= least."""
+    def count(spec):
+        value = int(spec)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return count
+
+
 # numpy's own tolerance on a probability vector's sum (Generator.choice).
 _DELTA_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
@@ -222,7 +229,7 @@ def build_parser():
 
     c = sub.add_parser("cluster", help="cluster a samples-by-features matrix")
     c.add_argument("--input", required=True)
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--k", type=_int_at_least(1), required=True)
     c.add_argument("--labels")
     c.add_argument("--method", default="ifpca", choices=pipeline.METHODS)
     c.add_argument("--norm", default="meanstd",
@@ -230,7 +237,7 @@ def build_parser():
     c.add_argument("--threshold", default="hc", type=_threshold_arg)
     c.add_argument("--null-table")
     c.add_argument("--null-reps", type=int, default=0)
-    c.add_argument("--replicates", type=int, default=30)
+    c.add_argument("--replicates", type=_int_at_least(1), default=30)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--threads", type=int, default=1)
     c.add_argument("--transpose", action="store_true")
@@ -244,7 +251,7 @@ def build_parser():
     g = s.add_mutually_exclusive_group(required=True)
     g.add_argument("--experiment", choices=["1a", "1b", "2a", "2b", "3", "4", "5"])
     g.add_argument("--config", help="JSON file with a single model config")
-    s.add_argument("--reps", type=int, default=None,
+    s.add_argument("--reps", type=_int_at_least(1), default=None,
                    help="override the preset repetition count")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--methods",
@@ -254,16 +261,16 @@ def build_parser():
     s.set_defaults(func=cmd_simulate)
 
     t = sub.add_parser("nulltable", help="simulate and store a null table")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--reps", type=int, required=True)
+    t.add_argument("--n", type=_int_at_least(2), required=True)
+    t.add_argument("--reps", type=_int_at_least(1), required=True)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True)
     t.add_argument("--threads", type=int, default=1)
     t.set_defaults(func=cmd_nulltable)
 
     k = sub.add_parser("tailcheck", help="Monte-Carlo check of the score tails")
-    k.add_argument("--n", type=int, required=True)
-    k.add_argument("--reps", type=int, required=True)
+    k.add_argument("--n", type=_int_at_least(2), required=True)
+    k.add_argument("--reps", type=_int_at_least(1), required=True)
     k.add_argument("--grid", required=True, help="comma-separated thresholds")
     k.add_argument("--alt", type=_alt_arg,
                    help="useful-feature spec 'delta=d1,..,dK;m=m1,..,mK'")

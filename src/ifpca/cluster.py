@@ -21,24 +21,42 @@ class KmeansResult:
     iterations: int
 
 
+def _sq_dists(a, b):
+    """Squared Euclidean distances between the rows of a and of b,
+    |a|² + |b|² − 2ab′ from one matrix product.
+
+    (b a′)′ is much faster than a b′ for the n×p by p×K product.  Adding the
+    norms first keeps _sq_dists(a, a) exactly symmetric.  Values within the
+    rounding error 2(p+2)·eps·(|a|²+|b|²) of 0 are set to 0, so equal rows
+    are at distance 0 and tie exactly.
+    """
+    ab2 = b @ a.T
+    ab2 *= 2.0
+    d2 = np.add.outer(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
+    tol = d2 * (2 * (a.shape[1] + 2) * np.finfo(np.float64).eps)
+    d2 -= ab2.T
+    d2[d2 <= tol] = 0.0
+    return d2
+
+
 def _assign(points, centers):
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(points, centers)
     return d2.argmin(axis=1), d2
 
 
-def _lloyd(points, centers, max_iter=LLOYD_MAX_ITER):
+def _lloyd(points, centers):
     n, _ = points.shape
     k = centers.shape[0]
     labels, d2 = _assign(points, centers)
     prev_wcss = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, LLOYD_MAX_ITER + 1):
         for c in range(k):
             mask = labels == c
             if mask.any():
                 centers[c] = points[mask].mean(axis=0)
             else:
                 # Empty cluster: reseed at the point farthest from the stale center.
-                far = ((points - centers[c]) ** 2).sum(axis=1).argmax()
+                far = _sq_dists(points, centers[c:c + 1])[:, 0].argmax()
                 centers[c] = points[far]
         new_labels, d2 = _assign(points, centers)
         wcss = float(d2[np.arange(n), new_labels].sum())
@@ -49,7 +67,9 @@ def _lloyd(points, centers, max_iter=LLOYD_MAX_ITER):
             labels = new_labels
             break
         labels = new_labels
-    wcss = float(d2[np.arange(n), labels].sum())
+    # The returned WCSS comes from the residuals, not from the GEMM distances,
+    # so replicates that reach one partition tie exactly.
+    wcss = float(((points - centers[labels]) ** 2).sum(axis=1).sum())
     return labels, centers, wcss, it
 
 
@@ -61,7 +81,7 @@ def kmeanspp_seed(points, k, rng):
         raise InvalidK(f"K={k} exceeds n={n}")
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(points, centers[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -69,7 +89,7 @@ def kmeanspp_seed(points, k, rng):
             centers[c] = points[rng.choice(n, p=probs)]
         else:
             centers[c] = points[rng.integers(n)]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(points, centers[c:c + 1])[:, 0])
     return centers
 
 
@@ -103,14 +123,17 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
             raise ValueError(f"unknown init: {init}")
         return _lloyd(points, centers)
 
+    def wcss_of(rep_run):
+        return rep_run[1][2]
+
+    # min holds only the best run so far and keeps the first of equal WCSS,
+    # so ties go to the lowest replicate id.
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            runs = list(ex.map(one, range(replicates)))
+            best, run = min(enumerate(ex.map(one, range(replicates))), key=wcss_of)
     else:
-        runs = [one(rep) for rep in range(replicates)]
-
-    best = min(range(replicates), key=lambda r: (runs[r][2], r))
-    labels, centers, wcss, iters = runs[best]
+        best, run = min(enumerate(map(one, range(replicates))), key=wcss_of)
+    labels, centers, wcss, iters = run
     return KmeansResult(labels=labels + 1, centers=centers, wcss=wcss,
                         replicate_id=best, iterations=iters)
 
@@ -118,8 +141,11 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
 def hierarchical_complete(points, k):
     """Agglomerative clustering with complete linkage and Euclidean distance.
 
-    Clusters are kept ordered by smallest member index, so distance ties merge
-    the lexicographically smallest (i, j) pair.
+    One n×n matrix of squared distances (merges depend only on their order)
+    keeps memory at O(np + n²).  Each cluster lives at the row of its
+    smallest member, and rows merged away are set to inf, so a row-major
+    argmin merges the lexicographically smallest (i, j) pair on ties.
+    Labels number the clusters by smallest member.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -128,29 +154,22 @@ def hierarchical_complete(points, k):
     if not 1 <= k <= n:
         raise InvalidK(f"K={k} must lie in [1, n={n}]")
 
-    d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    d = _sq_dists(points, points)
     np.fill_diagonal(d, np.inf)
-    members = [[i] for i in range(n)]
-    while len(members) > k:
-        m = len(members)
-        i, j = divmod(int(np.argmin(d)), m)
+    owner = np.arange(n)
+    for _ in range(n - k):
+        i, j = divmod(int(np.argmin(d)), n)
         if i > j:
             i, j = j, i
-        # Complete linkage: merged distance is the max of the two rows.  The
-        # merged cluster stays at position i, keeping the list ordered by
-        # smallest member, so row-major argmin realizes the lexicographic
-        # (i, j) tie rule.
+        # Complete linkage: the merged distance is the max of the two rows.
         merged = np.maximum(d[i], d[j])
         d[i] = merged
         d[:, i] = merged
         d[i, i] = np.inf
-        members[i] = members[i] + members[j]
-        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
-        members.pop(j)
-    labels = np.empty(n, dtype=np.int64)
-    for c, mem in enumerate(members):
-        labels[mem] = c + 1
-    return labels
+        d[j] = np.inf
+        d[:, j] = np.inf
+        owner[owner == j] = i
+    return np.unique(owner, return_inverse=True)[1] + 1
 
 
 def hamming_error(yhat, y, k):
@@ -163,6 +182,8 @@ def hamming_error(yhat, y, k):
     y = np.asarray(y)
     if yhat.size != y.size:
         raise ValueError("label vectors must have equal length")
+    if not all(((v >= 1) & (v <= k)).all() for v in (yhat, y)):
+        raise ValueError(f"labels must lie in 1..{k}")
     n = y.size
     # Confusion counts: C[a, b] = #{i : yhat_i = a+1, y_i = b+1}.
     conf = np.zeros((k, k), dtype=np.int64)

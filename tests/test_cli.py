@@ -172,12 +172,36 @@ def test_tailcheck_negative_grid_is_usage_error(capsys):
     (["tailcheck", "--alt", "foo"], 2),
     (["tailcheck", "--alt", "delta=0.5,0.5;m=1"], 2),
     (["tailcheck", "--alt", "delta=0.5,0.6;m=1,-1"], 2),
-    (["tailcheck", "--n", "0", "--alt", "delta=0.5,0.5;m=1,-1"], 3),
+    (["tailcheck", "--n", "0", "--alt", "delta=0.5,0.5;m=1,-1"], 2),
+    (["cluster", "--k", "0"], 2),
+    (["cluster", "--replicates", "0"], 2),
+    (["simulate", "--reps", "0"], 2),
+    (["nulltable", "--reps", "0"], 2),
+    (["tailcheck", "--reps", "0"], 2),
+    (["nulltable", "--n", "1"], 2),
+    (["tailcheck", "--n", "1"], 2),
 ])
-def test_malformed_argv_exit_code(argv, code, blob_csv, capsys):
+def test_malformed_argv_exit_code(argv, code, blob_csv, capsys, tmp_path):
     # argv options given after the common ones override them
     xpath, _ = blob_csv
     common = {"cluster": ["--input", xpath, "--k", "2", "--norm", "none"],
+              "simulate": ["--experiment", "5"],
+              "nulltable": ["--n", "50", "--reps", "100",
+                            "--out", str(tmp_path / "null.bin")],
               "tailcheck": ["--n", "50", "--reps", "100", "--grid", "0.5"]}
     got, _, _ = run(argv[:1] + common[argv[0]] + argv[1:], capsys)
     assert got == code
+
+
+@pytest.mark.parametrize("labels", [[1, 3], [0, 1]])
+def test_cluster_labels_out_of_range_exit_code(labels, blob_csv, capsys,
+                                               tmp_path):
+    # labels above --k used to end in an IndexError, labels <= 0 to wrap
+    # around into a wrong error rate
+    xpath, _ = blob_csv
+    ypath = tmp_path / "bad.txt"
+    np.savetxt(ypath, np.repeat(labels, 20), fmt="%d")
+    code, _, err = run(["cluster", "--input", xpath, "--k", "2",
+                        "--method", "kmeans", "--labels", str(ypath)], capsys)
+    assert code == 3
+    assert "1..2" in err

@@ -1,10 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ifpca.cluster import (hamming_error, hierarchical_complete, kmeans,
-                           kmeanspp_seed)
+from ifpca.cluster import (_lloyd, _sq_dists, _uniform_seed, hamming_error,
+                           hierarchical_complete, kmeans, kmeanspp_seed)
 from ifpca.errors import InvalidK
 
 
@@ -16,6 +20,32 @@ def hamming_oracle(yhat, y, k):
         mis = sum(1 for a, b in zip(yhat, y) if a != perm[b - 1])
         best = min(best, mis)
     return best / n
+
+
+def complete_linkage_oracle(points, k):
+    """Literal complete linkage: clusters ordered by smallest member, the
+    pair with the smallest largest member distance merges, and ties go to
+    the lexicographically smallest (i, j)."""
+    pts = [tuple(row) for row in points]
+
+    def d2(a, b):
+        return sum((u - v) ** 2 for u, v in zip(pts[a], pts[b]))
+
+    clusters = [[i] for i in range(len(pts))]
+    while len(clusters) > k:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                link = max(d2(a, b) for a in clusters[i] for b in clusters[j])
+                if best is None or link < best[0]:
+                    best = (link, i, j)
+        _, i, j = best
+        clusters[i] = clusters[i] + clusters.pop(j)
+    labels = [0] * len(pts)
+    for c, members in enumerate(clusters):
+        for m in members:
+            labels[m] = c + 1
+    return labels
 
 
 def test_kmeans_separated_pairs():
@@ -134,6 +164,94 @@ def test_hier_order_invariant_up_to_relabeling():
         assert hamming_error(restored, base, 3) == 0.0
 
 
+def test_hier_matches_literal_oracle_on_integer_grids():
+    # Small integer grids: distances are exact and ties are common, so this
+    # pins the tie rule, not only the merge order.
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        pts = rng.integers(-2, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
+        k = int(rng.integers(1, n + 1))
+        assert hierarchical_complete(pts, k).tolist() == \
+            complete_linkage_oracle(pts, k)
+
+
+def test_hier_matches_literal_oracle_on_repeated_rows():
+    # Real-valued rows drawn with replacement: equal rows must be at
+    # distance exactly 0, so that their merges tie and follow the rule.
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        base = rng.standard_normal((int(rng.integers(2, 6)),
+                                    int(rng.integers(2, 60))))
+        pts = base[rng.integers(0, len(base), size=int(rng.integers(2, 11)))]
+        k = int(rng.integers(1, len(pts) + 1))
+        assert hierarchical_complete(pts, k).tolist() == \
+            complete_linkage_oracle(pts, k)
+
+
+@st.composite
+def _row_pairs(draw):
+    p = draw(st.integers(1, 8))
+    elems = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    a = draw(arrays(np.float64, (draw(st.integers(1, 12)), p), elements=elems))
+    b = draw(arrays(np.float64, (draw(st.integers(1, 12)), p), elements=elems))
+    return a, b
+
+
+@given(_row_pairs())
+def test_sq_dists_matches_broadcast(pair):
+    a, b = pair
+    reference = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    got = _sq_dists(a, b)
+    assert got.shape == reference.shape
+    assert (got >= 0).all()
+    # The GEMM form cancels |a|² + |b|² against 2ab′, so its error scales
+    # with the squared norms, not with the distance; below the normal range
+    # rounding is absolute.
+    scale = (a ** 2).sum(axis=1)[:, None] + (b ** 2).sum(axis=1)[None, :]
+    tol = 1e-13 * scale + np.finfo(np.float64).tiny
+    assert (np.abs(got - reference) <= tol).all()
+
+
+def test_kmeans_replicate_ties_go_to_lowest_id():
+    # Three tight blobs: most replicates reach the same partition, under
+    # different label orders.  Their WCSS must tie exactly.
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.standard_normal((15, 4)) * 0.1 + c
+                          for c in (0.0, 3.0, -3.0)])
+    seed, reps = 2, 12
+    res = kmeans(pts, 3, replicates=reps, seed=seed)
+    winners, orders = [], set()
+    for rep in range(reps):
+        centers = _uniform_seed(pts, 3, np.random.default_rng([seed, rep]))
+        labels, _, wcss, _ = _lloyd(pts, centers)
+        if hamming_error(labels + 1, res.labels, 3) == 0.0:
+            winners.append(rep)
+            orders.add(tuple(labels))
+            assert wcss == res.wcss
+    assert len(orders) > 1
+    assert res.replicate_id == winners[0]
+    # The WCSS is the residual sum, which depends on the partition alone.
+    resid = pts - res.centers[res.labels - 1]
+    assert res.wcss == float((resid ** 2).sum(axis=1).sum())
+
+
+@pytest.mark.parametrize("call", [lambda x: kmeans(x, 10),
+                                  lambda x: hierarchical_complete(x, 10)],
+                         ids=["kmeans", "hierarchical_complete"])
+def test_cluster_peak_memory_is_linear_in_input(call):
+    # No n×K×p or n×n×p temporaries: the traced peak stays within a few
+    # copies of the input (1.6 MB).
+    x = np.random.default_rng(12).standard_normal((100, 2000))
+    tracemalloc.start()
+    try:
+        call(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.nbytes
+
+
 def test_hamming_examples():
     y = np.array([1, 1, 2, 2])
     assert hamming_error(y, y, 2) == 0.0
@@ -182,3 +300,10 @@ def test_hamming_symmetric_under_relabeling():
     perm = rng.permutation(k) + 1
     assert hamming_error(perm[yhat - 1], y, k) == pytest.approx(base)
     assert hamming_error(yhat, perm[y - 1], k) == pytest.approx(base)
+
+
+@pytest.mark.parametrize("yhat, y", [([1, 3], [1, 2]), ([1, 2], [1, 3]),
+                                     ([0, 1], [1, 2]), ([1, 2], [0, 1])])
+def test_hamming_rejects_labels_outside_1_to_k(yhat, y):
+    with pytest.raises(ValueError, match="1..2"):
+        hamming_error(np.array(yhat), np.array(y), 2)

@@ -87,7 +87,7 @@ def test_ks_scores_affine_invariant():
         assert s == pytest.approx(base, abs=1e-12)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(n=st.integers(2, 300), p=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
 def test_ks_scores_match_columnwise_calls(n, p, seed):
     # Both go through one KS kernel, so the agreement is exact.
