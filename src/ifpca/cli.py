@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 
@@ -33,28 +34,27 @@ def _exit_code(exc):
     return EXIT_NUMERICAL
 
 
-def load_matrix(path, delimiter=",", transpose=False, header="auto"):
-    """Read a rectangular numeric matrix from a delimited text file.
+def load_matrix(path, transpose=False):
+    """Read a rectangular numeric matrix from a comma-separated text file.
 
-    header='auto' skips the first row when it fails to parse as numbers.
+    Blank lines are skipped, and so is the first line when it does not parse
+    as numbers (a header).  There is no comment character.  Ragged rows and
+    a file with no data rows raise ValueError naming the file.
     """
     with open(path) as f:
-        rows = [line.rstrip("\n") for line in f if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    start = 0
-    if header == "yes":
-        start = 1
-    elif header == "auto":
+        lines = (line for line in f if line.strip())
+        first = next(lines, "")
         try:
-            [float(c) for c in rows[0].split(delimiter)]
+            [float(c) for c in first.split(",")]
         except ValueError:
-            start = 1
-    data = [[float(c) for c in r.split(delimiter)] for r in rows[start:]]
-    widths = {len(r) for r in data}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
-    x = np.asarray(data, dtype=np.float64)
+            first = next(lines, "")
+        if not first:
+            raise ValueError(f"{path}: no data rows")
+        try:
+            x = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                           comments=None, dtype=np.float64, ndmin=2)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
     return x.T if transpose else x
 
 

@@ -41,6 +41,13 @@ def _sq_dists(a, b):
 
 def _assign(points, centers):
     d2 = _sq_dists(points, centers)
+    # Equal centers get the first one's column, so their ties go to the lower
+    # index; the product can give equal centers columns a few ulps apart.
+    first = {}
+    for c, row in enumerate(centers):
+        f = first.setdefault(row.tobytes(), c)
+        if f != c:
+            d2[:, c] = d2[:, f]
     return d2.argmin(axis=1), d2
 
 
@@ -112,6 +119,10 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
         raise InvalidK(f"K={k} must lie in [1, n={n}]")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    # Lloyd runs on centered points: |x|² + |c|² − 2x·c loses the distances
+    # to cancellation when the data sit far from the origin.
+    mean = points.mean(axis=0)
+    points = points - mean
 
     def one(rep):
         rng = np.random.default_rng([seed, rep])
@@ -134,7 +145,7 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
     else:
         best, run = min(enumerate(map(one, range(replicates))), key=wcss_of)
     labels, centers, wcss, iters = run
-    return KmeansResult(labels=labels + 1, centers=centers, wcss=wcss,
+    return KmeansResult(labels=labels + 1, centers=centers + mean, wcss=wcss,
                         replicate_id=best, iterations=iters)
 
 

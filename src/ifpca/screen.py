@@ -59,13 +59,15 @@ def _ks_of_sorted(srt, axis):
 
     The closed form of the sup-distance between the empirical CDF and the
     N(0,1) CDF: the sup is attained at a jump point, from one side or the other.
+    srt is overwritten (with Phi - (i-1)/n), so callers pass an array they own.
     """
     n = srt.shape[axis]
-    phi = ndtr(srt)
+    phi = ndtr(srt, out=srt)
     # 1..n laid along `axis`, broadcasting over the axes after it.
     i = np.arange(1.0, n + 1).reshape([n] + [1] * (srt.ndim - 1 - axis))
-    d = np.maximum(i / n - phi, phi - (i - 1.0) / n)
-    return np.sqrt(n) * d.max(axis=axis)
+    above = (i / n - phi).max(axis=axis)
+    phi -= (i - 1.0) / n
+    return np.sqrt(n) * np.maximum(above, phi.max(axis=axis))
 
 
 def ks_of_standardized(v):

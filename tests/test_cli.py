@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ifpca import cli
 from ifpca.screen import build_null_table, load_null_table, save_null_table
@@ -54,6 +59,62 @@ def test_cluster_header_and_transpose(blob_csv, capsys, tmp_path):
              "--transpose"], capsys)
     assert a[0] == b[0] == 0
     assert json.loads(a[1])["labels"] == json.loads(b[1])["labels"]
+
+
+@pytest.mark.parametrize("content, expected", [
+    (b"1,2\n\n   \n3,4\n\t\n", [[1, 2], [3, 4]]),       # blank lines skipped
+    (b"a,b\n1,2\n3,4\n", [[1, 2], [3, 4]]),             # header detected
+    (b"1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),              # CRLF
+    (b"a,b\r\n1,2\r\n", [[1, 2]]),
+    (b"1,2,3\n", [[1, 2, 3]]),                          # one row
+    (b"1\n2\n3\n", [[1], [2], [3]]),                    # one column
+    (b"1.5, -2 \n", [[1.5, -2]]),                       # spaces around cells
+    (b"nan,inf\n-inf,1e400\n", [[np.nan, np.inf], [-np.inf, np.inf]]),
+    (b"a,b\n", "no data rows"),                         # header only
+    (b"", "no data rows"),
+    (b"\n  \n", "no data rows"),
+    (b"1,2\n3\n", "columns changed"),                   # ragged
+    (b"1,2\n3,4,5\n", "columns changed"),
+    (b"1,2\n# 3,4\n", "'# 3'"),                         # no comment character
+    (b"1,2\n1_0,4\n", "'1_0'"),                         # no underscores
+    (b"1,2,3\n1,,2\n", "''"),                           # empty cell
+])
+def test_load_matrix_contract(content, expected, capsys, tmp_path):
+    # expected: the matrix, or a fragment of the exit-3 error message
+    path = tmp_path / "m.csv"
+    path.write_bytes(content)
+    if isinstance(expected, str):
+        code, _, err = run(["cluster", "--input", str(path), "--k", "1"],
+                           capsys)
+        assert code == 3
+        assert f"{path}: " in err and expected in err
+    else:
+        got = cli.load_matrix(str(path))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.array(expected, dtype=np.float64),
+                              equal_nan=True)
+
+
+def load_matrix_oracle(text):
+    """Literal reading of a header-free file: every cell through float()."""
+    return [[float(c) for c in line.split(",")]
+            for line in text.splitlines() if line.strip()]
+
+
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                elements=st.floats(allow_nan=True, allow_infinity=True)),
+       fmt=st.sampled_from(["%.17g", "%.8g"]))
+def test_load_matrix_matches_float_oracle(x, fmt):
+    text = "".join(",".join(fmt % v for v in row) + "\n" for row in x)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.csv")
+        with open(path, "w") as f:
+            f.write(text)
+        got = cli.load_matrix(path)
+    assert np.array_equal(got, np.array(load_matrix_oracle(text)),
+                          equal_nan=True)
+    if fmt == "%.17g":
+        assert np.array_equal(got, x, equal_nan=True)
 
 
 def test_cluster_missing_k_is_usage_error(blob_csv, capsys):

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ifpca.cluster import (_lloyd, _sq_dists, _uniform_seed, hamming_error,
-                           hierarchical_complete, kmeans, kmeanspp_seed)
+from ifpca.cluster import (_assign, _lloyd, _sq_dists, _uniform_seed,
+                           hamming_error, hierarchical_complete, kmeans,
+                           kmeanspp_seed)
 from ifpca.errors import InvalidK
 
 
@@ -234,6 +235,40 @@ def test_kmeans_replicate_ties_go_to_lowest_id():
     # The WCSS is the residual sum, which depends on the partition alone.
     resid = pts - res.centers[res.labels - 1]
     assert res.wcss == float((resid ** 2).sum(axis=1).sum())
+
+
+def test_assign_equal_centers_tie_to_lower_index():
+    # Repeated rows with K = the number of distinct rows; uniform seeding has
+    # picked the first row twice.  The matrix product alone can leave the two
+    # equal centers' columns a few ulps apart and send points to the later
+    # one (10 of these 300 cases with OpenBLAS on 2 cores).
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        p, n, k = (int(rng.choice(v)) for v in ([20, 50, 100, 300],
+                                                [30, 71, 141], range(3, 11)))
+        rows = rng.standard_normal((k, p))
+        spread = rng.uniform(0.05, 1.0)
+        rows[1:] = rows[0] + spread * rng.standard_normal((k - 1, p))
+        points = rows[rng.integers(0, k, size=n)]
+        centers = rows.copy()
+        centers[k - 1] = centers[0]
+        labels, d2 = _assign(points, centers)
+        assert np.array_equal(d2[:, k - 1], d2[:, 0])
+        assert not (labels == k - 1).any()
+
+
+@pytest.mark.parametrize("data_seed, seed", [(0, 1), (4, 2), (11, 1)])
+def test_kmeans_far_from_origin(data_seed, seed):
+    # |x|² + |c|² − 2x·c cancels badly at an offset of 1e6 with unit spread;
+    # on uncentered points these runs failed Lloyd's monotonicity assert.
+    x = 1e6 + np.random.default_rng(data_seed).standard_normal((200, 5))
+    res = kmeans(x, 4, replicates=3, seed=seed)
+    for c in range(4):
+        np.testing.assert_allclose(res.centers[c],
+                                   x[res.labels == c + 1].mean(axis=0),
+                                   rtol=0, atol=1e-8)
+    resid = x - res.centers[res.labels - 1]
+    assert res.wcss == pytest.approx(float((resid ** 2).sum()), rel=1e-6)
 
 
 @pytest.mark.parametrize("call", [lambda x: kmeans(x, 10),
