@@ -4,6 +4,7 @@ import argparse
 import csv
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -39,14 +40,17 @@ def load_matrix(path, transpose=False):
 
     Blank lines are skipped, and so is the first line when it does not parse
     as numbers (a header).  There is no comment character.  Ragged rows and
-    a file with no data rows raise ValueError naming the file.
+    a file with no data rows raise ValueError naming the file and, for a
+    bad row, its line.
     """
     with open(path) as f:
         lines = (line for line in f if line.strip())
         first = next(lines, "")
+        header = False
         try:
             [float(c) for c in first.split(",")]
         except ValueError:
+            header = True
             first = next(lines, "")
         if not first:
             raise ValueError(f"{path}: no data rows")
@@ -54,8 +58,40 @@ def load_matrix(path, transpose=False):
             x = np.loadtxt(itertools.chain([first], lines), delimiter=",",
                            comments=None, dtype=np.float64, ndmin=2)
         except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+            raise ValueError(f"{path}: {_bad_line(path, header) or e}") from None
     return x.T if transpose else x
+
+
+def _bad_line(path, header):
+    """'line L: cause' for the first line of `path` that load_matrix rejects,
+    L counted in the file, or None.
+
+    loadtxt numbers only the rows it is given, so on the error path the file
+    is read again and each data line parsed on its own.  A file that is not
+    valid text gives None: the decoder's own message is the cause.
+    """
+    with open(path) as f:
+        numbered = ((num, line) for num, line in enumerate(f, 1) if line.strip())
+        try:
+            if header:
+                next(numbered)
+            width = None
+            for num, line in numbered:
+                try:
+                    row = np.loadtxt([line], delimiter=",", comments=None,
+                                     dtype=np.float64, ndmin=2)
+                except ValueError as e:
+                    # loadtxt calls the one line it was given row 0.
+                    return f"line {num}: " + re.sub(
+                        r" at row 0, (column \d+)", r" in \1", str(e))
+                if width is None:
+                    width, width_num = row.shape[1], num
+                elif row.shape[1] != width:
+                    return (f"line {num}: columns changed from {width} on "
+                            f"line {width_num} to {row.shape[1]}")
+        except UnicodeDecodeError:
+            pass
+    return None
 
 
 def load_labels(path):
@@ -236,10 +272,10 @@ def build_parser():
                    choices=["none", "meanstd", "medmad", "lower50"])
     c.add_argument("--threshold", default="hc", type=_threshold_arg)
     c.add_argument("--null-table")
-    c.add_argument("--null-reps", type=int, default=0)
+    c.add_argument("--null-reps", type=_int_at_least(0), default=0)
     c.add_argument("--replicates", type=_int_at_least(1), default=30)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--threads", type=int, default=1)
+    c.add_argument("--threads", type=_int_at_least(1), default=1)
     c.add_argument("--transpose", action="store_true")
     c.add_argument("--truncate", action="store_true")
     c.add_argument("--hc-fallback", action="store_true")
@@ -256,8 +292,8 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--methods",
                    default="ifpca,ifpca-fixed,pca,kmeans,kmeanspp,hier")
-    s.add_argument("--null-reps", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--null-reps", type=_int_at_least(0), default=0)
+    s.add_argument("--threads", type=_int_at_least(1), default=1)
     s.set_defaults(func=cmd_simulate)
 
     t = sub.add_parser("nulltable", help="simulate and store a null table")
@@ -265,7 +301,7 @@ def build_parser():
     t.add_argument("--reps", type=_int_at_least(1), required=True)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True)
-    t.add_argument("--threads", type=int, default=1)
+    t.add_argument("--threads", type=_int_at_least(1), default=1)
     t.set_defaults(func=cmd_nulltable)
 
     k = sub.add_parser("tailcheck", help="Monte-Carlo check of the score tails")
@@ -275,7 +311,7 @@ def build_parser():
     k.add_argument("--alt", type=_alt_arg,
                    help="useful-feature spec 'delta=d1,..,dK;m=m1,..,mK'")
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--threads", type=int, default=1)
+    k.add_argument("--threads", type=_int_at_least(1), default=1)
     k.set_defaults(func=cmd_tailcheck)
     return p
 
@@ -291,6 +327,11 @@ def main(argv=None):
     except (IfpcaError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _exit_code(e)
+    except MemoryError as e:
+        # numpy names the allocation that failed; a bare MemoryError has no text.
+        detail = f": {e}" if str(e) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Clustering engines: Lloyd k-means with replicates, k-means++ seeding,
 complete-linkage agglomerative clustering, and relabeling-minimized Hamming error."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from ._parallel import parallel_map
 from .errors import InvalidK
 
 LLOYD_MAX_ITER = 300
@@ -139,12 +139,8 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
 
     # min holds only the best run so far and keeps the first of equal WCSS,
     # so ties go to the lowest replicate id.
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            best, run = min(enumerate(ex.map(one, range(replicates))), key=wcss_of)
-    else:
-        best, run = min(enumerate(map(one, range(replicates))), key=wcss_of)
-    labels, centers, wcss, iters = run
+    runs = parallel_map(one, range(replicates), threads)
+    best, (labels, centers, wcss, iters) = min(enumerate(runs), key=wcss_of)
     return KmeansResult(labels=labels + 1, centers=centers + mean, wcss=wcss,
                         replicate_id=best, iterations=iters)
 

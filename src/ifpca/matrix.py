@@ -72,18 +72,21 @@ def standardize_columns(x, drop_constant=False):
     """
     x = validate_data_matrix(x)
     mean = x.mean(axis=0)
+    # np.std's temporary is freed before the centered copy is made, so the
+    # peak is the input and one copy.
     sd = x.std(axis=0, ddof=1)
+    w = x - mean
     zero = np.flatnonzero(sd == 0.0)
+    keep = np.arange(x.shape[1])
     if zero.size:
         if not drop_constant:
             raise ZeroVarianceColumn(int(zero[0]))
         keep = np.flatnonzero(sd > 0.0)
         if keep.size == 0:
             raise ZeroVarianceColumn(int(zero[0]))
-    else:
-        keep = np.arange(x.shape[1])
-    w = (x[:, keep] - mean[keep]) / sd[keep]
-    return StandardizedMatrix(values=w, col_mean=mean[keep], col_sd=sd[keep],
+        w, mean, sd = w[:, keep], mean[keep], sd[keep]
+    w /= sd
+    return StandardizedMatrix(values=w, col_mean=mean, col_sd=sd,
                               kept_columns=keep)
 
 

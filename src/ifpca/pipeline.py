@@ -38,6 +38,10 @@ class PipelineOptions:
         if self.norm not in ("none", "meanstd", "medmad", "lower50"):
             raise ValueError(f"unknown normalization: {self.norm}")
         parse_threshold(self.threshold)  # validate eagerly
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        if self.null_reps < 0:
+            raise ValueError("null_reps must be >= 0 (0 = default size)")
 
     def config_echo(self):
         return {"k": self.k, "method": self.method, "norm": self.norm,
@@ -156,7 +160,7 @@ def run_pipeline(x, opts, truth=None):
 
     # Screening paths: ifpca, if-kmeans, if-hier.
     t0 = time.perf_counter()
-    raw = screen.ks_scores(w)
+    raw = screen.ks_scores(w, threads=opts.threads)
     timings["ks"] = time.perf_counter() - t0
 
     rule, value = parse_threshold(opts.threshold)

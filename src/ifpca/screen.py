@@ -1,11 +1,11 @@
 """Feature screening: KS scores, Monte-Carlo null tables, renormalization, p-values."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
+from ._parallel import parallel_map
 from .errors import EmptySelection, ZeroSpread
 
 # Consistency factor making MAD match the SD under normality.
@@ -14,6 +14,12 @@ MAD_SCALE = 1.4826
 # Rows per chunk of draws are this over n: fixed so that null-table contents
 # do not depend on the worker count.
 _NULL_CHUNK_TARGET = 4_000_000
+
+# Cache-sized pieces of work: ks_scores sorts and scores _KS_BLOCK columns at
+# a time (2.4 MB at n=577), and build_null_table draws and scores a chunk
+# _NULL_BUFFER_CELLS cells at a time (1.2 MB).  Neither changes any value.
+_KS_BLOCK = 512
+_NULL_BUFFER_CELLS = 150_000
 
 
 @dataclass(frozen=True)
@@ -78,16 +84,30 @@ def ks_of_standardized(v):
     return float(_ks_of_sorted(np.sort(v), axis=0))
 
 
-def ks_scores(w):
-    """KS score of every column of a StandardizedMatrix (vectorized over columns)."""
+def ks_scores(w, threads=1):
+    """KS score of every column of a StandardizedMatrix, in blocks of
+    _KS_BLOCK columns on `threads` workers."""
     vals = w.values
-    return KsScores(scores=_ks_of_sorted(np.sort(vals, axis=0), axis=0),
-                    n=vals.shape[0])
+
+    def score_block(j):
+        # A transposed copy, never a view: it is sorted and overwritten.
+        blk = vals[:, j:j + _KS_BLOCK].T.copy()
+        blk.sort(axis=1)
+        return _ks_of_sorted(blk, axis=1)
+
+    blocks = parallel_map(score_block, range(0, vals.shape[1], _KS_BLOCK), threads)
+    return KsScores(scores=np.concatenate(list(blocks)), n=vals.shape[0])
 
 
 def _null_psi_batch(z):
-    """KS scores for a batch of draws, one draw per row, after row standardization."""
-    z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1, keepdims=True)
+    """KS scores for a batch of draws, one draw per row, after row standardization.
+
+    z is overwritten.  Rows are centered in place and divided by
+    np.std(ddof=1)'s own arithmetic on the centered rows, so the values
+    equal (z - mean) / std.
+    """
+    z -= z.mean(axis=1, keepdims=True)
+    z /= np.sqrt(np.square(z).sum(axis=1, keepdims=True) / (z.shape[1] - 1))
     z.sort(axis=1)
     return _ks_of_sorted(z, axis=1)
 
@@ -105,20 +125,23 @@ def build_null_table(n, reps, seed, threads=1):
     if reps < 1:
         raise ValueError("reps must be >= 1")
     chunk = max(1, _NULL_CHUNK_TARGET // n)
-    starts = range(0, reps, chunk)
+    rows = max(1, _NULL_BUFFER_CELLS // n)
+    values = np.empty(reps)
 
-    def one_chunk(ci_start):
-        ci = ci_start // chunk
-        rng = np.random.default_rng([seed, ci])
-        m = min(chunk, reps - ci_start)
-        return _null_psi_batch(rng.standard_normal((m, n)))
+    def fill_chunk(start):
+        # One generator per chunk; drawing its stream a buffer at a time
+        # gives the same numbers as drawing the whole chunk at once.
+        rng = np.random.default_rng([seed, start // chunk])
+        buf = np.empty((rows, n))
+        end = min(start + chunk, reps)
+        for lo in range(start, end, rows):
+            z = buf[:min(rows, end - lo)]
+            rng.standard_normal(out=z)
+            values[lo:lo + z.shape[0]] = _null_psi_batch(z)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(one_chunk, starts))
-    else:
-        parts = [one_chunk(s) for s in starts]
-    values = np.sort(np.concatenate(parts))
+    for _ in parallel_map(fill_chunk, range(0, reps, chunk), threads):
+        pass
+    values.sort()
     return NullTable(n=n, seed=seed, values=values)
 
 

@@ -88,11 +88,40 @@ def test_load_matrix_contract(content, expected, capsys, tmp_path):
                            capsys)
         assert code == 3
         assert f"{path}: " in err and expected in err
+        # Lines are named as counted in the file (test below), never by
+        # loadtxt's row index or its `usecols` advice.
+        assert "at row" not in err and "usecols" not in err
     else:
         got = cli.load_matrix(str(path))
         assert got.dtype == np.float64
         assert np.array_equal(got, np.array(expected, dtype=np.float64),
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("content, line, cause", [
+    (b"a,b\n\n1,2\n3,4\n5,x\n", 5, "'x' to float64 in column 2"),
+    (b"1,2\n\n3,4\n5\n", 4, "columns changed from 2 on line 1 to 1"),
+    (b"\n1,2\n3,4,5\n", 3, "columns changed from 2 on line 2 to 3"),
+    (b"h\r\n\r\n1,2\r\n1,,2\r\n", 4, "'' to float64 in column 2"),
+    (b"1\n2\n3\n1_0\n", 4, "'1_0' to float64 in column 1"),
+])
+def test_load_matrix_error_names_file_line(content, line, cause, tmp_path):
+    # Line numbers count every line of the file: blank ones and a header too.
+    path = tmp_path / "m.csv"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as e:
+        cli.load_matrix(str(path))
+    msg = str(e.value)
+    assert msg.startswith(f"{path}: line {line}: ") and cause in msg
+
+
+def test_load_matrix_undecodable_line_names_file(tmp_path):
+    # The bad byte lies past the reader's first block, so loadtxt meets it.
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1,2\n" * 20000 + b"3,\xff\n")
+    with pytest.raises(ValueError, match="can't decode") as e:
+        cli.load_matrix(str(path))
+    assert str(e.value).startswith(f"{path}: ")
 
 
 def load_matrix_oracle(text):
@@ -241,6 +270,13 @@ def test_tailcheck_negative_grid_is_usage_error(capsys):
     (["tailcheck", "--reps", "0"], 2),
     (["nulltable", "--n", "1"], 2),
     (["tailcheck", "--n", "1"], 2),
+    (["cluster", "--threads", "0"], 2),
+    (["cluster", "--threads", "-4"], 2),
+    (["cluster", "--null-reps", "-5"], 2),
+    (["simulate", "--threads", "0"], 2),
+    (["simulate", "--null-reps", "-1"], 2),
+    (["nulltable", "--threads", "0"], 2),
+    (["tailcheck", "--threads", "0"], 2),
 ])
 def test_malformed_argv_exit_code(argv, code, blob_csv, capsys, tmp_path):
     # argv options given after the common ones override them
@@ -266,3 +302,20 @@ def test_cluster_labels_out_of_range_exit_code(labels, blob_csv, capsys,
                         "--method", "kmeans", "--labels", str(ypath)], capsys)
     assert code == 3
     assert "1..2" in err
+
+
+@pytest.mark.parametrize("exc, shown", [
+    (MemoryError("Unable to allocate 99.0 GiB"),
+     "error: out of memory: Unable to allocate 99.0 GiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_out_of_memory_exit_code(exc, shown, blob_csv, capsys, monkeypatch):
+    # An allocation failure ends in a message and exit 3, not a traceback.
+    def run_pipeline(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli.pipeline, "run_pipeline", run_pipeline)
+    xpath, _ = blob_csv
+    code, out, err = run(["cluster", "--input", xpath, "--k", "2"], capsys)
+    assert code == 3
+    assert out == "" and err == shown + "\n"

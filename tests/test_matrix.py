@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ifpca.errors import DegenerateGapWarning, ZeroVarianceColumn
 from ifpca.matrix import (SpectralEmbedding, entrywise_truncate,
@@ -38,6 +40,33 @@ def test_standardize_columns_have_zero_mean_unit_sd():
     w = standardize_columns(x)
     assert np.abs(w.values.mean(axis=0)).max() < 1e-10 * 50
     np.testing.assert_allclose(w.values.std(axis=0, ddof=1), 1.0, atol=1e-8)
+
+
+@given(n=st.integers(2, 30), p=st.integers(1, 30),
+       constant=st.sets(st.integers(0, 29), max_size=5),
+       order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
+def test_standardize_matches_literal_formula(n, p, constant, order, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p) + rng.normal(0, 5, p)
+    for j in constant:
+        if j < p:
+            x[:, j] = 3.0
+    x = np.asarray(x, order=order)
+    keep = np.flatnonzero(x.std(0, ddof=1) > 0)
+    if keep.size < p:
+        # Without drop_constant a constant column is an error.
+        with pytest.raises(ZeroVarianceColumn):
+            standardize_columns(x)
+    if keep.size == 0:
+        return
+    w = standardize_columns(x, drop_constant=True)
+    want = (x[:, keep] - x.mean(0)[keep]) / x.std(0, ddof=1)[keep]
+    assert np.array_equal(w.values, want)
+    assert np.array_equal(w.col_mean, x.mean(0)[keep])
+    assert np.array_equal(w.col_sd, x.std(0, ddof=1)[keep])
+    assert np.array_equal(w.kept_columns, keep)
+    if keep.size == p:
+        assert np.array_equal(standardize_columns(x).values, want)
 
 
 def test_standardize_idempotent():

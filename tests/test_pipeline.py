@@ -53,6 +53,12 @@ def test_options_validation():
         PipelineOptions(k=2, method="dbscan")
     with pytest.raises(ValueError):
         PipelineOptions(k=2, norm="rank")
+    for threads in (0, -4):
+        with pytest.raises(ValueError, match="threads"):
+            PipelineOptions(k=2, threads=threads)
+    with pytest.raises(ValueError, match="null_reps"):
+        PipelineOptions(k=2, null_reps=-5)
+    PipelineOptions(k=2, null_reps=0, threads=1)   # 0 = default table size
 
 
 def test_hc_pipeline_recovers_separated_classes(null120):

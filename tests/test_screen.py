@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
+from ifpca import screen
 from ifpca.errors import EmptySelection, ZeroSpread
 from ifpca.matrix import standardize_columns
 from ifpca.screen import (KsScores, build_null_table, ks_of_standardized,
                           ks_scores, load_null_table, normalize_scores,
                           null_reference_values, pvalues, save_null_table,
                           select_features)
+
+B = screen._KS_BLOCK
 
 
 def ks_sup_brute_force(v):
@@ -98,6 +101,23 @@ def test_ks_scores_match_columnwise_calls(n, p, seed):
         assert vec[j] == ks_of_standardized(w.values[:, j])
 
 
+@settings(max_examples=25)
+@given(n=st.integers(2, 40),
+       p=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]) | st.integers(1, 30),
+       order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
+def test_ks_scores_blocks_thread_invariant(n, p, order, seed):
+    # Blocks of B columns on 1, 2 or 3 workers give the column-by-column
+    # scores exactly, and leave the standardized matrix as it was.
+    rng = np.random.default_rng(seed)
+    w = standardize_columns(np.asarray(rng.standard_normal((n, p)), order=order))
+    before = w.values.copy()
+    runs = [ks_scores(w, threads=t).scores for t in (1, 2, 3)]
+    assert np.array_equal(w.values, before)
+    assert all(np.array_equal(r, runs[0]) for r in runs[1:])
+    assert runs[0].shape == (p,)
+    assert all(runs[0][j] == ks_of_standardized(before[:, j]) for j in range(p))
+
+
 def test_normalize_meanstd_symmetric():
     ks = KsScores(scores=np.array([1.0, 2.0, 3.0]), n=10)
     out = normalize_scores(ks, "meanstd")
@@ -149,6 +169,33 @@ def test_null_table_thread_invariant():
     a = build_null_table(50, 10000, seed=3, threads=1)
     b = build_null_table(50, 10000, seed=3, threads=4)
     assert np.array_equal(a.values, b.values)
+
+
+def null_table_oracle(n, reps, seed):
+    """Whole-chunk formula: each chunk's rows drawn in one call, standardized
+    by (z - mean) / std, sorted and scored; all chunks sorted together."""
+    chunk = max(1, screen._NULL_CHUNK_TARGET // n)
+    parts = []
+    for ci, start in enumerate(range(0, reps, chunk)):
+        rng = np.random.default_rng([seed, ci])
+        z = rng.standard_normal((min(chunk, reps - start), n))
+        z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1,
+                                                         keepdims=True)
+        z.sort(axis=1)
+        parts.append(screen._ks_of_sorted(z, axis=1))
+    return np.sort(np.concatenate(parts))
+
+
+@pytest.mark.parametrize("n, reps", [
+    (577, 15_000),   # chunks of 6932 rows, buffers of 259: both cross
+    (2000, 4_567),   # chunks of 2000 rows, buffers of 75
+    (5, 2),          # one chunk, one partial buffer
+])
+def test_null_table_matches_whole_chunk_oracle(n, reps):
+    want = null_table_oracle(n, reps, seed=21)
+    for threads in (1, 2):
+        got = build_null_table(n, reps, seed=21, threads=threads).values
+        assert np.array_equal(got, want)
 
 
 def test_null_table_sorted_and_bounded():
