@@ -7,18 +7,16 @@ from .acm import A0, AcmConfig, DistributionSpec, NoiseModel, generate
 from .cluster import hamming_error, hierarchical_complete, kmeans
 from .hc import hc_threshold
 from .matrix import entrywise_truncate, standardize_columns, truncated_left_svd
-from .pipeline import (PipelineOptions, RunReport, baseline, classical_pca,
-                       if_hct_pca, if_hct_variant, if_pca_fixed, run_pipeline)
+from .pipeline import PipelineOptions, RunReport, run_pipeline
 from .screen import (build_null_table, ks_of_standardized, ks_scores,
                      load_null_table, normalize_scores, pvalues,
                      save_null_table, select_features)
 
 __all__ = [
     "A0", "AcmConfig", "DistributionSpec", "NoiseModel", "PipelineOptions",
-    "RunReport", "baseline", "build_null_table", "classical_pca",
-    "entrywise_truncate", "generate", "hamming_error", "hc_threshold",
-    "hierarchical_complete", "if_hct_pca", "if_hct_variant", "if_pca_fixed",
-    "kmeans", "ks_of_standardized", "ks_scores", "load_null_table",
+    "RunReport", "build_null_table", "entrywise_truncate", "generate",
+    "hamming_error", "hc_threshold", "hierarchical_complete", "kmeans",
+    "ks_of_standardized", "ks_scores", "load_null_table",
     "normalize_scores", "pvalues", "run_pipeline", "save_null_table",
     "select_features", "standardize_columns", "truncated_left_svd",
 ]

@@ -1,5 +1,5 @@
 """Synthetic data under the asymptotic clustering model, with the signal-strength
-diagnostics (kappa, tau, omega), theoretical thresholds, and experiment presets."""
+diagnostics (kappa, tau), the theoretical threshold, and experiment presets."""
 
 import math
 from dataclasses import dataclass, field
@@ -134,6 +134,8 @@ class AcmConfig:
             raise InvalidConfig("theta and vartheta must lie in (0, 1)")
         if self.r <= 0:
             raise InvalidConfig("r must be positive")
+        if not (math.isfinite(self.threshold_q) and self.threshold_q > 0):
+            raise InvalidConfig("threshold_q must be finite and positive")
 
     @property
     def n(self):
@@ -187,59 +189,11 @@ def tau(m, delta, n):
     return np.sqrt(n) / (6.0 * math.sqrt(2.0 * math.pi)) * np.abs(delta @ (m ** 3))
 
 
-def _phi(y):
-    return np.exp(-0.5 * y ** 2) / math.sqrt(2.0 * math.pi)
-
-
-def _omega_integrand(y, m2, m4):
-    # phi'''(y) = (3y - y^3) phi(y)
-    ph = _phi(y)
-    return 0.125 * y * (1.0 - 3.0 * y ** 2) * ph * m2 ** 2 \
-        + (3.0 * y - y ** 3) * ph * m4 / 24.0
-
-
-def omega(m, delta, n, grid_half_width=8.0, grid_step=1e-3):
-    """Fourth-moment signal strength: sqrt(n) times the sup over y of the
-    second-order Edgeworth term.  Grid search with one 10x local refinement."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    delta = np.asarray(delta, dtype=np.float64)
-    # Work feature-by-feature to keep memory flat for wide m.
-    out = np.empty(m.shape[1])
-    y = np.arange(-grid_half_width, grid_half_width + grid_step / 2, grid_step)
-    for j in range(m.shape[1]):
-        m2j = float(delta @ m[:, j] ** 2)
-        m4j = float(delta @ m[:, j] ** 4)
-        vals = _omega_integrand(y, m2j, m4j)
-        i = int(np.argmax(vals))
-        lo = y[max(i - 1, 0)]
-        hi = y[min(i + 1, y.size - 1)]
-        fine = np.linspace(lo, hi, 41)
-        best = max(vals[i], _omega_integrand(fine, m2j, m4j).max())
-        out[j] = math.sqrt(n) * best
-    return out
-
-
 def threshold_tpq(q, p):
     """Theoretical screening threshold a0 * sqrt(2 q log p)."""
     if q < 0:
         raise ValueError("q must be nonnegative")
     return A0 * math.sqrt(2.0 * q * math.log(p))
-
-
-def threshold_fixed(q_tilde, p):
-    """Simulation threshold sqrt(2 q~ log p) (no a0 factor)."""
-    if q_tilde < 0:
-        raise ValueError("q~ must be nonnegative")
-    return math.sqrt(2.0 * q_tilde * math.log(p))
-
-
-def err_p(vartheta, q, r, k, n, p, kappa_norm, rho1, rho2):
-    """Theoretical clustering-error scale: bias plus variance terms."""
-    bias = (1.0 + math.sqrt(p ** (1.0 - min(vartheta, q)) / n)) / kappa_norm
-    miss = p ** (-max(math.sqrt(r) - math.sqrt(q), 0.0) ** 2 / (2.0 * k))
-    var = math.sqrt(p ** (vartheta - 1.0) + p ** max(vartheta - q, 0.0) / n) \
-        * math.sqrt(rho1)
-    return rho2 * (bias + miss + var)
 
 
 # ---------------------------------------------------------------------------

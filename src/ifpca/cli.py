@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,22 +44,26 @@ def load_matrix(path, transpose=False):
     a file with no data rows raise ValueError naming the file and, for a
     bad row, its line.
     """
-    with open(path) as f:
-        lines = (line for line in f if line.strip())
-        first = next(lines, "")
-        header = False
-        try:
-            [float(c) for c in first.split(",")]
-        except ValueError:
-            header = True
+    try:
+        with open(path) as f:
+            lines = (line for line in f if line.strip())
             first = next(lines, "")
-        if not first:
-            raise ValueError(f"{path}: no data rows")
-        try:
-            x = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                           comments=None, dtype=np.float64, ndmin=2)
-        except ValueError as e:
-            raise ValueError(f"{path}: {_bad_line(path, header) or e}") from None
+            header = False
+            try:
+                [float(c) for c in first.split(",")]
+            except ValueError:
+                header = True
+                first = next(lines, "")
+            if not first:
+                raise ValueError(f"{path}: no data rows")
+            try:
+                x = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                               comments=None, dtype=np.float64, ndmin=2)
+            except ValueError as e:
+                raise ValueError(f"{path}: {_bad_line(path, header) or e}") from None
+    except UnicodeDecodeError as e:
+        # The first lines are decoded here, before loadtxt reads any.
+        raise ValueError(f"{path}: {e}") from None
     return x.T if transpose else x
 
 
@@ -135,29 +140,21 @@ def _setting_tag(cfg):
 def simulate_one(cfg, methods, reps, seed, null_cache, null_reps=0, threads=1):
     """Error rates of each method over `reps` generated instances of cfg."""
     n = cfg.n
-    errors = {m: [] for m in methods}
-    need_null = any(m == "ifpca" for m in methods)
-    if need_null and n not in null_cache:
+    if "ifpca" in methods and n not in null_cache:
         size = null_reps if null_reps > 0 else screen.default_null_size(cfg.p)
         null_cache[n] = screen.build_null_table(n, size, seed, threads=threads)
+    base = pipeline.PipelineOptions(k=cfg.k, norm="none", seed=seed,
+                                    threads=threads)
+    # Both IF-PCA rows are method "ifpca": HC against the null, and the fixed
+    # simulation threshold sqrt(2 q~ log p).
+    variants = {"ifpca": {"null_table": null_cache.get(n)},
+                "ifpca-fixed": {"threshold": f"fixed-q:{cfg.threshold_q!r}"}}
+    options = {m: replace(base, **variants.get(m, {"method": m})) for m in methods}
+    errors = {m: [] for m in methods}
     for rep in range(reps):
         x, truth = acm.generate(cfg, seed=[seed, rep])
         for m in methods:
-            if m == "ifpca":
-                opts = pipeline.PipelineOptions(
-                    k=cfg.k, method="ifpca", norm="none", threshold="hc",
-                    null_table=null_cache[n], seed=seed, threads=threads)
-                rpt = pipeline.run_pipeline(x, opts, truth=truth.y)
-            elif m == "ifpca-fixed":
-                rpt = pipeline.if_pca_fixed(
-                    x, cfg.k, acm.threshold_fixed(cfg.threshold_q, cfg.p),
-                    truth=truth.y, norm="none", seed=seed, threads=threads)
-            elif m == "pca":
-                rpt = pipeline.classical_pca(x, cfg.k, truth=truth.y, norm="none",
-                                             seed=seed, threads=threads)
-            else:
-                rpt = pipeline.baseline(x, cfg.k, m, truth=truth.y, seed=seed,
-                                        threads=threads)
+            rpt = pipeline.run_pipeline(x, options[m], truth=truth.y)
             errors[m].append(rpt.error_rate)
     return {m: (float(np.mean(v)), float(np.std(v, ddof=1)) if len(v) > 1 else 0.0)
             for m, v in errors.items()}
@@ -165,7 +162,7 @@ def simulate_one(cfg, methods, reps, seed, null_cache, null_reps=0, threads=1):
 
 def cmd_simulate(args):
     configs = _simulate_configs(args)
-    methods = args.methods.split(",")
+    methods = args.methods
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["experiment", "setting", "method", "mean_error",
                      "sd_error", "reps"])
@@ -190,10 +187,6 @@ def cmd_nulltable(args):
 
 
 def cmd_tailcheck(args):
-    grid = [float(t) for t in args.grid.split(",")]
-    if not grid or any(t < 0 for t in grid):
-        print("error: grid must be nonnegative thresholds", file=sys.stderr)
-        return EXIT_USAGE
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.alt:
         # Useful-feature left tail: empirical miss rate vs the Gaussian bound.
@@ -202,7 +195,7 @@ def cmd_tailcheck(args):
         tau_j = float(acm.tau(np.array(m)[:, None], delta, args.n)[0])
         psis = screen.simulate_alt_scores(args.n, args.reps, delta, m, args.seed)
         writer.writerow(["t", "empirical_miss", "bound"])
-        for t in grid:
+        for t in args.grid:
             miss = float(np.mean(psis <= t))
             bound = k * math.exp(-(tau_j - t) ** 2 / (2 * k * acm.A0 ** 2))
             writer.writerow([f"{t:g}", f"{miss:.8f}", f"{bound:.8g}"])
@@ -211,7 +204,7 @@ def cmd_tailcheck(args):
                                         threads=args.threads)
         writer.writerow(["t", "empirical_survival", "theory_lower",
                          "theory_upper", "ratio"])
-        for t in grid:
+        for t in args.grid:
             surv = float(np.mean(table.values >= t))
             lower = math.exp(-t ** 2 / (2 * acm.A0 ** 2)) / (math.sqrt(2) * acm.A0)
             ratio = surv / lower if lower > 0 else math.inf
@@ -236,6 +229,35 @@ def _int_at_least(least):
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
         return value
     return count
+
+
+# The rows `simulate` can report, in the default order.
+SIMULATE_METHODS = ("ifpca", "ifpca-fixed", "pca", "kmeans", "kmeanspp", "hier")
+
+
+def _methods_arg(spec):
+    """'m1,m2,..' -> a tuple of distinct names from SIMULATE_METHODS."""
+    methods = tuple(spec.split(","))
+    unknown = [m for m in methods if m not in SIMULATE_METHODS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {unknown[0]!r}; choose from "
+            f"{','.join(SIMULATE_METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise argparse.ArgumentTypeError(f"a method is repeated in {spec!r}")
+    return methods
+
+
+def _grid_arg(spec):
+    """'t1,t2,..' -> a list of finite thresholds >= 0."""
+    try:
+        grid = [float(t) for t in spec.split(",")]
+    except ValueError:
+        grid = None
+    if grid is None or not all(math.isfinite(t) and t >= 0 for t in grid):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite thresholds >= 0, got {spec!r}")
+    return grid
 
 
 # numpy's own tolerance on a probability vector's sum (Generator.choice).
@@ -290,8 +312,8 @@ def build_parser():
     s.add_argument("--reps", type=_int_at_least(1), default=None,
                    help="override the preset repetition count")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--methods",
-                   default="ifpca,ifpca-fixed,pca,kmeans,kmeanspp,hier")
+    s.add_argument("--methods", type=_methods_arg,
+                   default=",".join(SIMULATE_METHODS))
     s.add_argument("--null-reps", type=_int_at_least(0), default=0)
     s.add_argument("--threads", type=_int_at_least(1), default=1)
     s.set_defaults(func=cmd_simulate)
@@ -307,7 +329,8 @@ def build_parser():
     k = sub.add_parser("tailcheck", help="Monte-Carlo check of the score tails")
     k.add_argument("--n", type=_int_at_least(2), required=True)
     k.add_argument("--reps", type=_int_at_least(1), required=True)
-    k.add_argument("--grid", required=True, help="comma-separated thresholds")
+    k.add_argument("--grid", type=_grid_arg, required=True,
+                   help="comma-separated thresholds")
     k.add_argument("--alt", type=_alt_arg,
                    help="useful-feature spec 'delta=d1,..,dK;m=m1,..,mK'")
     k.add_argument("--seed", type=int, default=0)

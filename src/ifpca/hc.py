@@ -1,6 +1,5 @@
 """Higher-Criticism functional over sorted p-values and the threshold rule."""
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +50,3 @@ def hc_threshold(pvals, scores, n, allow_fallback=False):
     t_hc = float(np.sort(scores)[::-1][j_hat - 1])
     return HcResult(hc_curve=hc, eligible=eligible, j_hat=j_hat, t_hc=t_hc,
                     sorted_pvalues=pi)
-
-
-def hc_curve_csv(result):
-    """CSV dump of the HC curve for plotting: j, pi_j, HC_j, eligible."""
-    buf = io.StringIO()
-    buf.write("j,pi_j,HC_j,eligible\n")
-    for idx in range(result.hc_curve.size):
-        buf.write(f"{idx + 1},{result.sorted_pvalues[idx]:.17g},"
-                  f"{result.hc_curve[idx]:.17g},{int(result.eligible[idx])}\n")
-    return buf.getvalue()

@@ -1,18 +1,30 @@
 """End-to-end clustering procedures: HC-thresholded and fixed-threshold
 influential-feature PCA, classical PCA, direct post-selection variants, and
-the no-selection baselines."""
+the no-selection baselines, all as one path through run_pipeline."""
 
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import cluster, hc, matrix, screen
-from .errors import EmptySelection
 
-METHODS = ("ifpca", "pca", "kmeans", "kmeanspp", "hier", "if-kmeans", "if-hier")
+# method -> (screen features first?, clusterer).  "spectral" is k-means on
+# the top K-1 left singular vectors; "uniform-sample" and "plusplus" are
+# k-means on the standardized columns directly, named by their seeding;
+# "hier" is complete linkage on them.
+_METHODS = {
+    "ifpca": (True, "spectral"),
+    "pca": (False, "spectral"),
+    "kmeans": (False, "uniform-sample"),
+    "kmeanspp": (False, "plusplus"),
+    "hier": (False, "hier"),
+    "if-kmeans": (True, "uniform-sample"),
+    "if-hier": (True, "hier"),
+}
+METHODS = tuple(_METHODS)
 
 
 @dataclass(frozen=True)
@@ -44,11 +56,9 @@ class PipelineOptions:
             raise ValueError("null_reps must be >= 0 (0 = default size)")
 
     def config_echo(self):
-        return {"k": self.k, "method": self.method, "norm": self.norm,
-                "threshold": self.threshold, "truncate": self.truncate,
-                "null_reps": self.null_reps, "replicates": self.replicates,
-                "seed": self.seed, "hc_fallback": self.hc_fallback,
-                "drop_constant": self.drop_constant}
+        # The table is data, not a setting, and threads change no output.
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("null_table", "threads")}
 
 
 @dataclass
@@ -60,7 +70,6 @@ class RunReport:
     error_rate: float | None
     timings: dict
     config: dict
-    hc_result: object = field(default=None, repr=False)
 
     def to_dict(self, include_timings=True):
         out = {"labels": self.labels.tolist(),
@@ -109,127 +118,79 @@ def _get_null_table(opts, n, p):
     return screen.build_null_table(n, reps, opts.seed, threads=opts.threads)
 
 
-def _embed_and_cluster(w_sel, opts, n, p, timings):
-    t0 = time.perf_counter()
-    k_embed = min(opts.k - 1, min(w_sel.shape)) if opts.k > 1 else 1
-    emb = matrix.truncated_left_svd(w_sel, k_embed)
-    if opts.truncate:
-        emb = matrix.entrywise_truncate(emb, math.log(p) / math.sqrt(n))
-    timings["svd"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    km = cluster.kmeans(emb.u, opts.k, replicates=opts.replicates,
-                        seed=opts.seed, threads=opts.threads)
-    timings["kmeans"] = time.perf_counter() - t0
-    return km.labels
-
-
-def _finish(labels, selected, threshold, j_hat, truth, opts, timings, hc_result=None):
-    err = None
-    if truth is not None:
-        err = cluster.hamming_error(labels, np.asarray(truth), opts.k)
-    return RunReport(labels=labels, selected=selected, threshold=threshold,
-                     j_hat=j_hat, error_rate=err, timings=timings,
-                     config=opts.config_echo(), hc_result=hc_result)
-
-
-def run_pipeline(x, opts, truth=None):
-    """Dispatch on opts.method; every path standardizes columns first."""
-    timings = {}
-    t0 = time.perf_counter()
-    w = matrix.standardize_columns(x, drop_constant=opts.drop_constant)
-    timings["standardize"] = time.perf_counter() - t0
+def _select(w, opts, timings):
+    """KS screening and the threshold rule: (0-based columns, threshold, j_hat)."""
     n, p = w.n, w.p
-
-    if opts.method in ("kmeans", "kmeanspp", "hier"):
-        t0 = time.perf_counter()
-        if opts.method == "hier":
-            labels = cluster.hierarchical_complete(w.values, opts.k)
-        else:
-            init = "plusplus" if opts.method == "kmeanspp" else "uniform-sample"
-            labels = cluster.kmeans(w.values, opts.k, replicates=opts.replicates,
-                                    seed=opts.seed, init=init,
-                                    threads=opts.threads).labels
-        timings["cluster"] = time.perf_counter() - t0
-        all_features = np.arange(1, p + 1)
-        return _finish(labels, all_features, -math.inf, None, truth, opts, timings)
-
-    if opts.method == "pca":
-        labels = _embed_and_cluster(w.values, opts, n, p, timings)
-        all_features = np.arange(1, p + 1)
-        return _finish(labels, all_features, -math.inf, None, truth, opts, timings)
-
-    # Screening paths: ifpca, if-kmeans, if-hier.
     t0 = time.perf_counter()
     raw = screen.ks_scores(w, threads=opts.threads)
     timings["ks"] = time.perf_counter() - t0
 
     rule, value = parse_threshold(opts.threshold)
-    j_hat = None
-    hc_result = None
-    if rule == "hc":
+    null = None
+    if rule == "hc" or opts.norm == "lower50":
         t0 = time.perf_counter()
         null = _get_null_table(opts, n, p)
         timings["null"] = time.perf_counter() - t0
-        scored = screen.normalize_scores(raw, opts.norm, null=null)
+    scored = screen.normalize_scores(raw, opts.norm, null=null)
+    j_hat = None
+    if rule == "hc":
         ref = screen.null_reference_values(null, opts.norm)
         pvals = screen.pvalues(scored.scores, ref)
         result = hc.hc_threshold(pvals, scored.scores, n,
                                  allow_fallback=opts.hc_fallback)
-        threshold = result.t_hc
-        j_hat = result.j_hat
-        hc_result = result
-    else:
-        null = _get_null_table(opts, n, p) if opts.norm == "lower50" else None
-        scored = screen.normalize_scores(raw, opts.norm, null=null)
-        threshold = value if rule == "fixed" else \
-            math.sqrt(2.0 * value * math.log(p))
+        threshold, j_hat = result.t_hc, result.j_hat
+    elif rule == "fixed":
+        threshold = value
+    else:  # fixed-q: the simulation threshold sqrt(2 q~ log p)
+        threshold = math.sqrt(2.0 * value * math.log(p))
 
     sel = screen.select_features(scored, threshold)
-    cols = sel.indices - 1
-    w_sel = w.values[:, cols]
-
-    if opts.method == "ifpca":
-        labels = _embed_and_cluster(w_sel, opts, n, p, timings)
-    elif opts.method == "if-kmeans":
-        labels = cluster.kmeans(w_sel, opts.k, replicates=opts.replicates,
-                                seed=opts.seed, threads=opts.threads).labels
-    else:  # if-hier
-        labels = cluster.hierarchical_complete(w_sel, opts.k)
-    return _finish(labels, sel.indices, threshold, j_hat, truth, opts, timings,
-                   hc_result=hc_result)
+    return sel.indices - 1, threshold, j_hat
 
 
-def if_hct_pca(x, opts, truth=None):
-    """KS screening, HC threshold, post-selection PCA, k-means."""
-    if parse_threshold(opts.threshold)[0] != "hc":
-        raise ValueError("if_hct_pca requires the hc threshold rule")
-    return run_pipeline(x, opts, truth=truth)
+def _cluster(data, clusterer, opts, p, timings):
+    """Labels of the rows of `data`; `p` is the standardized width, which sets
+    the spectral embedding's truncation level log(p)/sqrt(n)."""
+    init = clusterer
+    if clusterer == "spectral":
+        t0 = time.perf_counter()
+        n = data.shape[0]
+        k_embed = min(opts.k - 1, min(data.shape)) if opts.k > 1 else 1
+        emb = matrix.truncated_left_svd(data, k_embed)
+        if opts.truncate:
+            emb = matrix.entrywise_truncate(emb, math.log(p) / math.sqrt(n))
+        timings["svd"] = time.perf_counter() - t0
+        data, init = emb.u, "uniform-sample"
+    t0 = time.perf_counter()
+    if clusterer == "hier":
+        labels = cluster.hierarchical_complete(data, opts.k)
+    else:
+        labels = cluster.kmeans(data, opts.k, replicates=opts.replicates,
+                                seed=opts.seed, init=init,
+                                threads=opts.threads).labels
+    timings["kmeans" if clusterer == "spectral" else "cluster"] = \
+        time.perf_counter() - t0
+    return labels
 
 
-def if_pca_fixed(x, k, t, opts=None, truth=None, **kwargs):
-    """Fixed-threshold variant: features with score >= t are retained."""
-    kwargs.update(k=k, method="ifpca", threshold=f"fixed:{t}")
-    new = replace(opts, **kwargs) if opts is not None else PipelineOptions(**kwargs)
-    return run_pipeline(x, new, truth=truth)
+def run_pipeline(x, opts, truth=None):
+    """Standardize, screen if the method does, then cluster (see _METHODS)."""
+    timings = {}
+    t0 = time.perf_counter()
+    w = matrix.standardize_columns(x, drop_constant=opts.drop_constant)
+    timings["standardize"] = time.perf_counter() - t0
 
+    screened, clusterer = _METHODS[opts.method]
+    if screened:
+        cols, threshold, j_hat = _select(w, opts, timings)
+    else:
+        # slice(None) takes every column as a view, without a copy.
+        cols, threshold, j_hat = slice(None), -math.inf, None
+    labels = _cluster(w.values[:, cols], clusterer, opts, w.p, timings)
 
-def classical_pca(x, k, opts=None, truth=None, **kwargs):
-    """No selection: top K-1 left singular vectors of the full W, then k-means."""
-    kwargs.update(k=k, method="pca")
-    new = replace(opts, **kwargs) if opts is not None else PipelineOptions(**kwargs)
-    return run_pipeline(x, new, truth=truth)
-
-
-def if_hct_variant(x, opts, truth=None):
-    """HC selection followed by k-means or complete-linkage on the raw columns."""
-    if opts.method not in ("if-kmeans", "if-hier"):
-        raise ValueError("method must be if-kmeans or if-hier")
-    return run_pipeline(x, opts, truth=truth)
-
-
-def baseline(x, k, method, truth=None, **kwargs):
-    """kmeans / kmeanspp / hier on the standardized matrix, no selection."""
-    if method not in ("kmeans", "kmeanspp", "hier"):
-        raise ValueError(f"not a baseline method: {method}")
-    kwargs.update(k=k, method=method)
-    return run_pipeline(x, PipelineOptions(**kwargs), truth=truth)
+    err = None
+    if truth is not None:
+        err = cluster.hamming_error(labels, np.asarray(truth), opts.k)
+    return RunReport(labels=labels, selected=w.kept_columns[cols] + 1,
+                     threshold=threshold, j_hat=j_hat, error_rate=err,
+                     timings=timings, config=opts.config_echo())

@@ -9,6 +9,7 @@ Monte-Carlo null tables.
 import itertools
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,9 +109,8 @@ def test_acceptance_4_hc_vs_fixed_grid(null577):
         x, truth = acm.generate(cfg, seed=[505, rep])
         hc_errs.append(pipeline.run_pipeline(x, opts, truth=truth.y).error_rate)
         for q in grid:
-            t = acm.threshold_fixed(q, cfg.p)
-            rpt = pipeline.if_pca_fixed(x, 2, t, norm="none", seed=0,
-                                        truth=truth.y)
+            fixed = replace(opts, null_table=None, threshold=f"fixed-q:{q}")
+            rpt = pipeline.run_pipeline(x, fixed, truth=truth.y)
             fixed_errs[q].append(rpt.error_rate)
     hc_mean = float(np.mean(hc_errs))
     best_fixed = min(float(np.mean(v)) for v in fixed_errs.values())
@@ -266,19 +266,19 @@ def test_acceptance_7_microarray_spot_checks():
     if lung is not None:
         x, y = lung
         opts = pipeline.PipelineOptions(k=2, norm="meanstd", seed=7)
-        rpt = pipeline.if_hct_pca(x, opts, truth=y)
+        rpt = pipeline.run_pipeline(x, opts, truth=y)
         details.append(f"lung err={rpt.error_rate:.3f}, "
                        f"selected={len(rpt.selected)}")
         ok = ok and abs(rpt.error_rate - 0.033) <= 0.02
         ok = ok and 150 <= len(rpt.selected) <= 400
-        fixed = pipeline.if_pca_fixed(x, 2, 0.938, norm="meanstd", seed=7,
-                                      truth=y)
+        fixed = pipeline.run_pipeline(
+            x, replace(opts, threshold="fixed:0.938"), truth=y)
         details.append(f"fixed t=.938 selected={len(fixed.selected)}")
         ok = ok and abs(len(fixed.selected) - 484) <= 30
     if leuk is not None:
         x, y = leuk
         opts = pipeline.PipelineOptions(k=2, norm="meanstd", seed=7)
-        rpt = pipeline.if_hct_pca(x, opts, truth=y)
+        rpt = pipeline.run_pipeline(x, opts, truth=y)
         details.append(f"leukemia err={rpt.error_rate:.3f}")
         ok = ok and abs(rpt.error_rate - 0.069) <= 0.04
     report(7, "microarray spot checks", ok, "; ".join(details))

@@ -10,14 +10,11 @@ from ifpca.acm import (
     DistributionSpec,
     NoiseModel,
     correlated_noise_matrix,
-    err_p,
     experiment_preset,
     generate,
     kappa,
-    omega,
     signal_magnitude,
     tau,
-    threshold_fixed,
     threshold_tpq,
 )
 from ifpca.errors import InvalidConfig, UnknownExperiment
@@ -52,26 +49,6 @@ def test_tau_vanishes_for_symmetric_contrast():
     assert tau(m, [0.5, 0.5], 577)[0] == 0.0
 
 
-def test_omega_matches_dense_grid_oracle():
-    m = np.array([[0.4], [-0.4]])
-    delta = np.array([0.5, 0.5])
-    got = omega(m, delta, 577)[0]
-    y = np.linspace(-8.0, 8.0, 2_000_001)
-    ph = np.exp(-0.5 * y ** 2) / math.sqrt(2.0 * math.pi)
-    m2 = float(delta @ m[:, 0] ** 2)
-    m4 = float(delta @ m[:, 0] ** 4)
-    vals = 0.125 * y * (1.0 - 3.0 * y ** 2) * ph * m2 ** 2 \
-        + (3.0 * y - y ** 3) * ph * m4 / 24.0
-    np.testing.assert_allclose(got, math.sqrt(577) * vals.max(), atol=1e-9)
-    np.testing.assert_allclose(got, 0.09641534, atol=1e-7)
-
-
-def test_omega_positive_when_tau_zero():
-    # Symmetric two-class contrasts are invisible to tau but not to omega.
-    m = np.array([[0.4], [-0.4]])
-    assert omega(m, [0.5, 0.5], 577)[0] > 0.0
-
-
 def test_tail_constant_value():
     np.testing.assert_allclose(A0, 0.3014052, atol=1e-7)
     np.testing.assert_allclose(A0, math.sqrt((math.pi - 2) / (4 * math.pi)),
@@ -79,24 +56,10 @@ def test_tail_constant_value():
 
 
 def test_threshold_examples():
-    np.testing.assert_allclose(threshold_fixed(0.06, 4 * 10**4), 1.1276507,
-                               atol=1e-6)
     np.testing.assert_allclose(threshold_tpq(0.05, 10**4), 0.2892601, atol=1e-6)
     assert threshold_tpq(0.0, 100) == 0.0
     with pytest.raises(ValueError):
-        threshold_fixed(-0.1, 100)
-
-
-def test_err_p_recompute():
-    vartheta, q, r, k, n, p = 0.7, 0.06, 0.5, 2, 577, 4 * 10**4
-    kn, r1, r2 = 0.8, 1.3, 0.9
-    got = err_p(vartheta, q, r, k, n, p, kn, r1, r2)
-    bias = (1.0 + math.sqrt(p ** (1.0 - min(vartheta, q)) / n)) / kn
-    miss = p ** (-((math.sqrt(r) - math.sqrt(q)) ** 2) / (2.0 * k))
-    var = math.sqrt((p ** (vartheta - 1.0) + p ** (vartheta - q) / n) * r1)
-    np.testing.assert_allclose(got, r2 * (bias + miss + var), atol=1e-12)
-    np.testing.assert_allclose(err_p(0.7, 0.06, 0.5, 2, 577, 4 * 10**4,
-                                     1.0, 1.0, 1.0), 8.8794732, atol=1e-6)
+        threshold_tpq(-0.1, 100)
 
 
 def test_signal_magnitude():
@@ -258,6 +221,13 @@ def test_config_rejects_bad_delta():
 def test_config_rejects_bad_gamma():
     with pytest.raises(InvalidConfig):
         small_config(gamma=(0.5, 0.5))
+
+
+def test_config_rejects_bad_threshold_q():
+    # q~ sets the fixed simulation threshold sqrt(2 q~ log p)
+    for q in (0.0, -0.06, math.nan, math.inf):
+        with pytest.raises(InvalidConfig):
+            small_config(threshold_q=q)
 
 
 def test_distribution_validation():

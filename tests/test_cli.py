@@ -78,6 +78,7 @@ def test_cluster_header_and_transpose(blob_csv, capsys, tmp_path):
     (b"1,2\n# 3,4\n", "'# 3'"),                         # no comment character
     (b"1,2\n1_0,4\n", "'1_0'"),                         # no underscores
     (b"1,2,3\n1,,2\n", "''"),                           # empty cell
+    (b"1,2\n3,\xff\n", "can't decode"),                  # in the first block
 ])
 def test_load_matrix_contract(content, expected, capsys, tmp_path):
     # expected: the matrix, or a fragment of the exit-3 error message
@@ -277,6 +278,16 @@ def test_tailcheck_negative_grid_is_usage_error(capsys):
     (["simulate", "--null-reps", "-1"], 2),
     (["nulltable", "--threads", "0"], 2),
     (["tailcheck", "--threads", "0"], 2),
+    (["simulate", "--methods", "bogus"], 2),
+    (["simulate", "--methods", "ifpca,,pca"], 2),
+    (["simulate", "--methods", "if-kmeans"], 2),
+    (["simulate", "--methods", "kmeans,kmeans"], 2),
+    (["simulate", "--methods", ""], 2),
+    (["tailcheck", "--grid", "x"], 2),
+    (["tailcheck", "--grid", ""], 2),
+    (["tailcheck", "--grid", "1,,2"], 2),
+    (["tailcheck", "--grid", "nan"], 2),
+    (["tailcheck", "--grid", "0.5,inf"], 2),
 ])
 def test_malformed_argv_exit_code(argv, code, blob_csv, capsys, tmp_path):
     # argv options given after the common ones override them
@@ -286,8 +297,9 @@ def test_malformed_argv_exit_code(argv, code, blob_csv, capsys, tmp_path):
               "nulltable": ["--n", "50", "--reps", "100",
                             "--out", str(tmp_path / "null.bin")],
               "tailcheck": ["--n", "50", "--reps", "100", "--grid", "0.5"]}
-    got, _, _ = run(argv[:1] + common[argv[0]] + argv[1:], capsys)
+    got, out, _ = run(argv[:1] + common[argv[0]] + argv[1:], capsys)
     assert got == code
+    assert out == ""    # rejected before any work or output
 
 
 @pytest.mark.parametrize("labels", [[1, 3], [0, 1]])

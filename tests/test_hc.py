@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ifpca.errors import NoEligibleIndex
-from ifpca.hc import hc_curve_csv, hc_threshold
+from ifpca.hc import hc_threshold
 from ifpca.screen import KsScores, select_features
 
 
@@ -81,12 +81,3 @@ def test_hc_monotone_relabeling_invariance():
     f = np.exp  # strictly increasing map applied to both sides
     res2 = hc_threshold(pvalues(f(scores), f(null)), f(scores), n=n)
     assert res1.j_hat == res2.j_hat
-
-
-def test_hc_curve_csv_shape():
-    pvals = np.array([0.4, 0.5, 0.6, 0.8])
-    scores = np.array([1.0, 0.9, 0.4, 0.2])
-    res = hc_threshold(pvals, scores, n=25)
-    lines = hc_curve_csv(res).strip().split("\n")
-    assert lines[0] == "j,pi_j,HC_j,eligible"
-    assert len(lines) == 5

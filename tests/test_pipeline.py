@@ -7,18 +7,12 @@ from ifpca.acm import AcmConfig, DistributionSpec, generate
 from ifpca.errors import EmptySelection
 from ifpca.pipeline import (
     PipelineOptions,
-    baseline,
     canonical_json,
-    classical_pca,
-    if_hct_pca,
-    if_hct_variant,
-    if_pca_fixed,
     parse_threshold,
     run_pipeline,
 )
 from ifpca.screen import build_null_table, ks_scores, select_features
 from ifpca.matrix import standardize_columns
-from ifpca.cluster import hamming_error
 
 
 def two_class_data(n=120, p=60, n_useful=12, shift=4.5, seed=0):
@@ -64,7 +58,7 @@ def test_options_validation():
 def test_hc_pipeline_recovers_separated_classes(null120):
     x, y = two_class_data()
     opts = PipelineOptions(k=2, norm="none", null_table=null120, seed=1)
-    rep = if_hct_pca(x, opts, truth=y)
+    rep = run_pipeline(x, opts, truth=y)
     assert rep.error_rate <= 0.05
     # every truly useful column survives selection
     assert set(range(1, 13)) <= set(rep.selected.tolist())
@@ -73,44 +67,75 @@ def test_hc_pipeline_recovers_separated_classes(null120):
 
 def test_fixed_threshold_selected_set_recompute():
     x, _ = two_class_data()
-    rep = if_pca_fixed(x, 2, 1.0, norm="none", seed=1)
+    opts = PipelineOptions(k=2, threshold="fixed:1.0", norm="none", seed=1)
+    rep = run_pipeline(x, opts)
     scores = ks_scores(standardize_columns(x)).scores
     expect = np.flatnonzero(scores >= 1.0) + 1
     np.testing.assert_array_equal(np.sort(rep.selected), expect)
     assert rep.threshold == 1.0
 
 
-def test_fixed_zero_threshold_matches_classical_pca():
-    # at t = 0 every feature survives, so selection-then-PCA is plain PCA
+def test_fixed_q_threshold_known_answer():
+    # sqrt(2 q~ log p) at q~ = 0.06, p = 4e4
+    x = np.random.default_rng(8).standard_normal((12, 4 * 10**4))
+    opts = PipelineOptions(k=2, threshold="fixed-q:0.06", norm="none", seed=0)
+    rep = run_pipeline(x, opts)
+    np.testing.assert_allclose(rep.threshold, 1.1276507, atol=1e-6)
+    scores = ks_scores(standardize_columns(x)).scores
+    np.testing.assert_array_equal(rep.selected,
+                                  np.flatnonzero(scores >= rep.threshold) + 1)
+
+
+@pytest.mark.parametrize("screened, unscreened", [
+    ("ifpca", "pca"), ("if-kmeans", "kmeans"), ("if-hier", "hier")])
+def test_zero_threshold_matches_unscreened_method(screened, unscreened):
+    # at t = 0 every feature survives, so screening first changes nothing
     x, y = two_class_data()
-    a = if_pca_fixed(x, 2, 0.0, norm="none", seed=3, truth=y)
-    b = classical_pca(x, 2, seed=3, truth=y)
-    assert hamming_error(a.labels, b.labels, 2) == 0.0
-    assert len(a.selected) == x.shape[1]
+    a = run_pipeline(x, PipelineOptions(k=2, method=screened, norm="none",
+                                        threshold="fixed:0", seed=3), truth=y)
+    b = run_pipeline(x, PipelineOptions(k=2, method=unscreened, seed=3),
+                     truth=y)
+    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.selected, np.arange(1, x.shape[1] + 1))
+    np.testing.assert_array_equal(b.selected, a.selected)
     assert a.error_rate == b.error_rate
+
+
+def test_drop_constant_reports_input_columns():
+    # Five constant columns in front; the useful columns are 11..18 of the
+    # input (1-based), i.e. 6..13 after the drop.
+    rng = np.random.default_rng(0)
+    y = np.repeat([1, 2], [20, 40])
+    x = rng.standard_normal((60, 40))
+    x[:, :5] = 2.5
+    x[y == 1, 10:18] += 4.5
+    w = standardize_columns(x, drop_constant=True)
+    scores = ks_scores(w).scores
+    screened = run_pipeline(x, PipelineOptions(
+        k=2, threshold="fixed:1.0", norm="none", drop_constant=True), truth=y)
+    np.testing.assert_array_equal(screened.selected,
+                                  np.flatnonzero(scores >= 1.0) + 6)
+    assert set(range(11, 19)) <= set(screened.selected.tolist())
+    assert screened.selected.min() > 5
+    baseline = run_pipeline(x, PipelineOptions(
+        k=2, method="kmeans", drop_constant=True), truth=y)
+    np.testing.assert_array_equal(baseline.selected, np.arange(6, 41))
 
 
 def test_empty_selection_raises():
     x, _ = two_class_data()
     with pytest.raises(EmptySelection):
-        if_pca_fixed(x, 2, 999.0, norm="none", seed=0)
+        run_pipeline(x, PipelineOptions(k=2, threshold="fixed:999",
+                                        norm="none"))
 
 
 def test_all_null_data_errors_near_half(null120):
     rng = np.random.default_rng(42)
     x = rng.standard_normal((120, 60))
     y = np.repeat([1, 2], 60)
-    rep = if_pca_fixed(x, 2, 0.0, norm="none", seed=0, truth=y)
+    rep = run_pipeline(x, PipelineOptions(k=2, threshold="fixed:0",
+                                          norm="none"), truth=y)
     assert 0.3 <= rep.error_rate <= 0.5
-
-
-def test_if_kmeans_with_zero_threshold_matches_kmeans_baseline():
-    x, y = two_class_data()
-    opts = PipelineOptions(k=2, method="if-kmeans", threshold="fixed:0",
-                           norm="none", seed=5)
-    a = if_hct_variant(x, opts, truth=y)
-    b = baseline(x, 2, "kmeans", seed=5, truth=y)
-    np.testing.assert_array_equal(a.labels, b.labels)
 
 
 def test_baselines_on_separated_blobs():
@@ -119,7 +144,7 @@ def test_baselines_on_separated_blobs():
     x[30:] += 4.0
     y = np.repeat([1, 2], 30)
     for method in ("kmeans", "kmeanspp", "hier"):
-        rep = baseline(x, 2, method, truth=y, seed=0)
+        rep = run_pipeline(x, PipelineOptions(k=2, method=method), truth=y)
         assert rep.error_rate == 0.0, method
 
 
@@ -165,7 +190,7 @@ def test_meanstd_norm_on_generated_data():
     x, truth = generate(cfg, seed=17)
     null = build_null_table(cfg.n, 20000, seed=50)
     opts = PipelineOptions(k=2, norm="meanstd", null_table=null, seed=0)
-    rep = if_hct_pca(x, opts, truth=truth.y)
+    rep = run_pipeline(x, opts, truth=truth.y)
     assert rep.error_rate <= 0.15
 
 
@@ -174,13 +199,3 @@ def test_null_table_n_mismatch_rejected(null120):
     opts = PipelineOptions(k=2, norm="none", null_table=null120, seed=0)
     with pytest.raises(ValueError):
         run_pipeline(x, opts)
-
-
-def test_method_guards():
-    x, _ = two_class_data()
-    with pytest.raises(ValueError):
-        if_hct_pca(x, PipelineOptions(k=2, threshold="fixed:1.0"))
-    with pytest.raises(ValueError):
-        if_hct_variant(x, PipelineOptions(k=2, method="ifpca"))
-    with pytest.raises(ValueError):
-        baseline(x, 2, "pca")
