@@ -105,11 +105,62 @@ def _uniform_seed(points, k, rng):
     return points[idx].copy()
 
 
+def _row_space(points):
+    """Rows of Y = Q·sqrt(Λ), from eigh of the Gram matrix QΛQ′ of the
+    distinct rows of `points`: n points in m ≤ n dimensions (m distinct rows)
+    with the same pairwise distances, and the same distances to any mean of
+    them (classical MDS, Torgerson 1952).
+
+    Equal rows of `points` get bit-equal rows of Y, so exact ties stay exact.
+    Rows are matched by the hash of their bytes, confirmed by comparison.
+    The eigensolver is numpy's, for the reason in truncated_left_svd.
+    """
+    buckets, distinct = {}, []
+    inverse = np.empty(points.shape[0], dtype=np.intp)
+    for i, row in enumerate(points):
+        bucket = buckets.setdefault(hash(row.tobytes()), [])
+        for j in bucket:
+            if np.array_equal(points[distinct[j]], row):
+                break
+        else:
+            j = len(distinct)
+            bucket.append(j)
+            distinct.append(i)
+        inverse[i] = j
+    gram = points @ points.T
+    lam, q = np.linalg.eigh(gram[np.ix_(distinct, distinct)])
+    q *= np.sqrt(np.clip(lam, 0.0, None))
+    return q[inverse]
+
+
+def _input_centers(points, y, labels, y_centers):
+    """Centers in the coordinates of `points` for a partition found on its
+    row-space embedding y: per-label means, as _lloyd takes them.  A cluster
+    empty at the end keeps the row it was reseeded at, which is the row of y
+    at distance 0 from its center."""
+    centers = np.empty((len(y_centers), points.shape[1]))
+    for c, yc in enumerate(y_centers):
+        mask = labels == c
+        if mask.any():
+            centers[c] = points[mask].mean(axis=0)
+        else:
+            centers[c] = points[((y - yc) ** 2).sum(axis=1).argmin()]
+    return centers
+
+
 def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
     """Lloyd k-means, best of `replicates` runs by within-cluster sum of squares.
 
     Each replicate derives its RNG from (seed, replicate index), so the result
     is deterministic for any thread count.  Ties go to the lowest replicate id.
+
+    Points wider than tall (p > n) are clustered on their n-dimensional row
+    space (_row_space), where a Lloyd step costs O(n²) instead of O(np).  The
+    distances are the same up to rounding, so labels, replicate id and
+    iterations are those of Lloyd on the full width.  The WCSS is the row
+    space's, within 1e-13 of the total sum of squares of the full-width
+    value; centers are per-label means of the input rows, within 1e-13 of
+    the largest input entry.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -123,16 +174,18 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
     # to cancellation when the data sit far from the origin.
     mean = points.mean(axis=0)
     points = points - mean
+    wide = points.shape[1] > n
+    space = _row_space(points) if wide else points
 
     def one(rep):
         rng = np.random.default_rng([seed, rep])
         if init == "plusplus":
-            centers = kmeanspp_seed(points, k, rng)
+            centers = kmeanspp_seed(space, k, rng)
         elif init == "uniform-sample":
-            centers = _uniform_seed(points, k, rng)
+            centers = _uniform_seed(space, k, rng)
         else:
             raise ValueError(f"unknown init: {init}")
-        return _lloyd(points, centers)
+        return _lloyd(space, centers)
 
     def wcss_of(rep_run):
         return rep_run[1][2]
@@ -141,6 +194,8 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
     # so ties go to the lowest replicate id.
     runs = parallel_map(one, range(replicates), threads)
     best, (labels, centers, wcss, iters) = min(enumerate(runs), key=wcss_of)
+    if wide:
+        centers = _input_centers(points, space, labels, centers)
     return KmeansResult(labels=labels + 1, centers=centers + mean, wcss=wcss,
                         replicate_id=best, iterations=iters)
 

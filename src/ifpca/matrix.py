@@ -4,7 +4,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import DegenerateGapWarning, ZeroVarianceColumn
 
@@ -101,10 +100,16 @@ def _fix_signs(u):
 def truncated_left_svd(a, k):
     """Leading k left singular vectors/values of a, from one eigendecomposition.
 
-    One symmetric eigensolver call gives the top min(k+1, m) eigenpairs of the
-    smaller Gram matrix (a a' when n <= p, else a' a, of order m); on the tall
-    side u = a v / sigma, re-orthonormalized.  Warns DegenerateGapWarning when
-    the k-th and (k+1)-th singular values are closer than GAP_TOL * sigma_1.
+    One symmetric eigensolver call on the smaller Gram matrix (a a' when
+    n <= p, else a' a, of order m) gives its top min(k+1, m) eigenpairs; on
+    the tall side u = a v / sigma, re-orthonormalized.  Warns
+    DegenerateGapWarning when the k-th and (k+1)-th singular values are
+    closer than GAP_TOL * sigma_1.
+
+    The solver is numpy's, as in cluster._row_space: numpy and scipy each
+    load their own OpenBLAS, and each keeps worker threads spinning for a
+    while after a call, so calling both in one pipeline can leave more busy
+    threads than cores and slow the interpreter thread.
     """
     a = np.asarray(a, dtype=np.float64)
     n, p = a.shape
@@ -115,8 +120,8 @@ def truncated_left_svd(a, k):
     g = a @ a.T if left_side else a.T @ a
     m = g.shape[0]
     kb = min(k + 1, m)
-    evals, vecs = eigh(g, subset_by_index=[m - kb, m - 1])
-    eigs, q = evals[::-1], vecs[:, ::-1]
+    evals, vecs = np.linalg.eigh(g)
+    eigs, q = evals[::-1][:kb], vecs[:, ::-1][:, :kb]
 
     sigma = np.sqrt(np.clip(eigs, 0.0, None))
     if kb > k and sigma[0] > 0 and (sigma[k - 1] - sigma[k]) < GAP_TOL * sigma[0]:

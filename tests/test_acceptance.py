@@ -1,9 +1,9 @@
 """End-to-end acceptance checks.
 
 Each test prints one PASS/FAIL line.  The final check needs externally
-supplied microarray data under data/ and is skipped when absent.  The whole
-module takes roughly 10 to 15 minutes on one core, dominated by the two
-Monte-Carlo null tables.
+supplied microarray data under data/ and is skipped when absent.  Most of
+the module's time goes to the two Monte-Carlo null tables (built on every
+core) and to the experiment-1b simulations.
 """
 
 import itertools
@@ -28,15 +28,17 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def null577():
-    # shared across the two simulation criteria (both run at n = 577)
-    return build_null_table(577, 10**6, seed=101)
+    # shared across the two simulation criteria (both run at n = 577);
+    # tables do not depend on the thread count
+    return build_null_table(577, 10**6, seed=101, threads=os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
 # 1. Null tail of the screening statistic.
 
 def test_acceptance_1_null_tail():
-    table = build_null_table(5000, 10**6, seed=202)
+    table = build_null_table(5000, 10**6, seed=202,
+                             threads=os.cpu_count() or 1)
     details = []
     ok = True
     for t in (1.0, 1.2, 1.4):

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,84 @@ def test_kmeans_far_from_origin(data_seed, seed):
                                    rtol=0, atol=1e-8)
     resid = x - res.centers[res.labels - 1]
     assert res.wcss == pytest.approx(float((resid ** 2).sum()), rel=1e-6)
+
+
+def full_width_kmeans(points, k, replicates, seed, init):
+    """Oracle: seeding and Lloyd per replicate on the centered full-width
+    points, first of the least WCSS; (labels, centers, wcss, replicate,
+    iterations) in kmeans' conventions."""
+    mean = points.mean(axis=0)
+    centered = points - mean
+    seeder = kmeanspp_seed if init == "plusplus" else _uniform_seed
+    best = None
+    for rep in range(replicates):
+        rng = np.random.default_rng([seed, rep])
+        run = _lloyd(centered, seeder(centered, k, rng))
+        if best is None or run[2] < best[1][2]:
+            best = rep, run
+    rep, (labels, centers, wcss, iters) = best
+    return labels + 1, centers + mean, wcss, rep, iters
+
+
+# Bound of the row-space path against full-width Lloyd, relative to the
+# total sum of squares (WCSS) and to the largest input entry (centers).
+ROW_SPACE_RTOL = 1e-13
+
+
+@st.composite
+def _wide_inputs(draw):
+    """(points, k, seed) with p > n, often with rows drawn with replacement,
+    and Gaussian entries, so that distinct distances do not tie exactly."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(n + 1, 150))
+    distinct = draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((distinct, p))
+    base[:distinct // 2] += draw(st.floats(0.0, 5.0))
+    points = base[rng.integers(0, distinct, size=n)] if distinct < n else base
+    points += draw(st.floats(-100.0, 100.0))
+    return points, draw(st.integers(1, n)), seed
+
+
+@given(_wide_inputs(), st.sampled_from(["uniform-sample", "plusplus"]),
+       st.integers(1, 4))
+def test_kmeans_row_space_matches_full_width(case, init, replicates):
+    points, k, seed = case
+    res = kmeans(points, k, replicates=replicates, seed=seed, init=init)
+    labels, centers, wcss, rep, iters = full_width_kmeans(
+        points, k, replicates, seed, init)
+    assert np.array_equal(res.labels, labels)
+    assert (res.replicate_id, res.iterations) == (rep, iters)
+    tss = float(((points - points.mean(axis=0)) ** 2).sum())
+    assert abs(res.wcss - wcss) <= ROW_SPACE_RTOL * tss
+    assert np.abs(res.centers - centers).max() <= \
+        ROW_SPACE_RTOL * np.abs(points).max()
+
+
+def test_kmeans_empty_final_cluster_keeps_its_reseed_row():
+    # Rows drawn with replacement and K at or above the number of distinct
+    # rows: clusters can end empty, at the row of their last reseed.  Their
+    # centers are that input row, not the mean of no rows (NaN).
+    empty = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        distinct = int(rng.integers(2, 6))
+        points = rng.standard_normal((distinct, 200))[
+            rng.integers(0, distinct, size=20)]
+        k = int(rng.integers(distinct, 13))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kmeans(points, k, replicates=3, seed=seed)
+        labels, centers, *_ = full_width_kmeans(points, k, 3, seed,
+                                                "uniform-sample")
+        assert np.array_equal(res.labels, labels)
+        tol = ROW_SPACE_RTOL * np.abs(points).max()
+        assert np.abs(res.centers - centers).max() <= tol
+        for c in set(range(k)) - set(res.labels - 1):
+            empty += 1
+            assert np.abs(points - res.centers[c]).max(axis=1).min() <= tol
+    assert empty > 0
 
 
 @pytest.mark.parametrize("call", [lambda x: kmeans(x, 10),

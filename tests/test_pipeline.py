@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ifpca.acm import AcmConfig, DistributionSpec, generate
 from ifpca.errors import EmptySelection
 from ifpca.pipeline import (
+    METHODS,
     PipelineOptions,
     canonical_json,
     parse_threshold,
@@ -139,13 +141,15 @@ def test_all_null_data_errors_near_half(null120):
 
 
 def test_baselines_on_separated_blobs():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((60, 5)) * 0.2
-    x[30:] += 4.0
+    # p = 500 > n: k-means runs on the row-space embedding.
     y = np.repeat([1, 2], 30)
-    for method in ("kmeans", "kmeanspp", "hier"):
-        rep = run_pipeline(x, PipelineOptions(k=2, method=method), truth=y)
-        assert rep.error_rate == 0.0, method
+    for p in (5, 500):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((60, p)) * 0.2
+        x[30:] += 4.0
+        for method in ("kmeans", "kmeanspp", "hier"):
+            rep = run_pipeline(x, PipelineOptions(k=2, method=method), truth=y)
+            assert rep.error_rate == 0.0, (method, p)
 
 
 def test_label_permutation_invariance_of_error(null120):
@@ -157,10 +161,13 @@ def test_label_permutation_invariance_of_error(null120):
     assert rep.error_rate == rep2.error_rate
 
 
-def test_thread_count_does_not_change_results(null120):
-    x, y = two_class_data()
-    a = PipelineOptions(k=2, norm="none", null_table=null120, seed=2, threads=1)
-    b = PipelineOptions(k=2, norm="none", null_table=null120, seed=2, threads=4)
+@pytest.mark.parametrize("method", METHODS)
+def test_thread_count_does_not_change_results(method, null120):
+    # p > n, so the baselines' k-means runs on the row-space embedding.
+    x, y = two_class_data(p=400)
+    a = PipelineOptions(k=2, method=method, norm="none", null_table=null120,
+                        seed=2, threads=1)
+    b = replace(a, threads=4)
     ja = run_pipeline(x, a, truth=y).to_json(include_timings=False)
     jb = run_pipeline(x, b, truth=y).to_json(include_timings=False)
     assert ja == jb
