@@ -2,7 +2,7 @@
 diagnostics (kappa, tau), the theoretical threshold, and experiment presets."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy import sparse
@@ -17,8 +17,51 @@ A0 = math.sqrt((math.pi - 2.0) / (4.0 * math.pi))
 SIGNAL_SCALE = 72.0 * math.pi
 
 
+class _JsonFields:
+    """JSON codec of a config dataclass, driven by its fields: to_dict is
+    asdict, and from_dict takes an object with a key per field (an omitted
+    one takes its default), a nested config as an object and a tuple as an
+    array of numbers or "inf"/"-inf".  Anything else raises InvalidConfig."""
+
+    def to_dict(self):
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d, where=None):
+        where = where or cls.__name__
+        if not isinstance(d, dict):
+            raise InvalidConfig(f"{where}: expected a JSON object, got {d!r:.40}")
+        names = [f.name for f in fields(cls)]
+        for key in d:
+            if key not in names:
+                raise InvalidConfig(f"{where}.{key}: unknown key of {cls.__name__}")
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in d:
+                kwargs[f.name] = _decode(f.type, d[f.name], f"{where}.{f.name}")
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise InvalidConfig(f"{where}.{f.name}: missing key of {cls.__name__}")
+        return cls(**kwargs)
+
+
+def _decode(tp, value, where):
+    """A parsed JSON value, checked against the field type tp."""
+    if is_dataclass(tp):
+        return tp.from_dict(value, where)
+    if tp is tuple:
+        if not isinstance(value, list):
+            raise InvalidConfig(f"{where}: expected an array, got {value!r:.40}")
+        return tuple(_decode(float, float(x) if x in ("inf", "-inf") else x,
+                             f"{where}[{i}]") for i, x in enumerate(value))
+    # bool is an int to isinstance but no number here; nor is json's NaN.
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, accepted) or value != value:
+        raise InvalidConfig(f"{where}: expected {tp.__name__}, got {value!r:.40}")
+    return value
+
+
 @dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(_JsonFields):
     """One of: pointmass(c), uniform(a, b) over (a-b, a+b), normal(m, s2),
     truncnormal(u, b2, a) = N(u, b2) conditioned on [u-a, u+a], and
     truncshiftexp(lam, b, a1, a2) = b + Exp(mean lam) conditioned on [a1, a2]."""
@@ -68,18 +111,9 @@ class DistributionSpec:
         u = c_lo + rng.uniform(size=size) * (c_hi - c_lo)
         return b + (-lam) * np.log1p(-u)
 
-    def to_dict(self):
-        return {"kind": self.kind, "params": list(self.params)}
-
-    @classmethod
-    def from_dict(cls, d):
-        params = tuple(math.inf if x == "inf" else -math.inf if x == "-inf" else x
-                       for x in d["params"])
-        return cls(kind=d["kind"], params=params)
-
 
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_JsonFields):
     """iid-gaussian, class-scaled (per-class variances), student-t6, chisq6,
     or correlated with variant 'band' or 'random' (size-N column supports)."""
 
@@ -89,26 +123,9 @@ class NoiseModel:
     d: float = 0.0
     subset_size: int = 0
 
-    def to_dict(self):
-        out = {"kind": self.kind}
-        if self.kind == "class-scaled":
-            out["class_variances"] = list(self.class_variances)
-        if self.kind == "correlated":
-            out.update(variant=self.variant, d=self.d)
-            if self.variant == "random":
-                out["subset_size"] = self.subset_size
-        return out
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(kind=d["kind"],
-                   class_variances=tuple(d.get("class_variances", ())),
-                   variant=d.get("variant", "band"), d=d.get("d", 0.0),
-                   subset_size=d.get("subset_size", 0))
-
 
 @dataclass(frozen=True)
-class AcmConfig:
+class AcmConfig(_JsonFields):
     k: int
     p: int
     theta: float
@@ -140,25 +157,6 @@ class AcmConfig:
     @property
     def n(self):
         return int(round(self.p ** self.theta))
-
-    def to_dict(self):
-        return {"k": self.k, "p": self.p, "theta": self.theta,
-                "vartheta": self.vartheta, "r": self.r, "rep": self.rep,
-                "delta": list(self.delta), "gamma": list(self.gamma),
-                "g_mubar": self.g_mubar.to_dict(), "g_mu": self.g_mu.to_dict(),
-                "g_sigma": self.g_sigma.to_dict(),
-                "noise": self.noise.to_dict(), "threshold_q": self.threshold_q}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(k=d["k"], p=d["p"], theta=d["theta"], vartheta=d["vartheta"],
-                   r=d["r"], rep=d["rep"], delta=tuple(d["delta"]),
-                   gamma=tuple(d["gamma"]),
-                   g_mubar=DistributionSpec.from_dict(d["g_mubar"]),
-                   g_mu=DistributionSpec.from_dict(d["g_mu"]),
-                   g_sigma=DistributionSpec.from_dict(d["g_sigma"]),
-                   noise=NoiseModel.from_dict(d.get("noise", {"kind": "iid-gaussian"})),
-                   threshold_q=d.get("threshold_q", 0.06))
 
 
 @dataclass(frozen=True)

@@ -290,8 +290,7 @@ def build_parser():
     c.add_argument("--k", type=_int_at_least(1), required=True)
     c.add_argument("--labels")
     c.add_argument("--method", default="ifpca", choices=pipeline.METHODS)
-    c.add_argument("--norm", default="meanstd",
-                   choices=["none", "meanstd", "medmad", "lower50"])
+    c.add_argument("--norm", default="meanstd", choices=pipeline.NORMS)
     c.add_argument("--threshold", default="hc", type=_threshold_arg)
     c.add_argument("--null-table")
     c.add_argument("--null-reps", type=_int_at_least(0), default=0)

@@ -51,20 +51,23 @@ def _assign(points, centers):
     return d2.argmin(axis=1), d2
 
 
+def _label_means(points, labels, centers, empty_row):
+    """Set row c of centers to the mean of the points labelled c, or to
+    points[empty_row(c)] when no point is."""
+    for c in range(centers.shape[0]):
+        mask = labels == c
+        centers[c] = points[mask].mean(axis=0) if mask.any() else points[empty_row(c)]
+    return centers
+
+
 def _lloyd(points, centers):
     n, _ = points.shape
-    k = centers.shape[0]
     labels, d2 = _assign(points, centers)
     prev_wcss = np.inf
     for it in range(1, LLOYD_MAX_ITER + 1):
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
-            else:
-                # Empty cluster: reseed at the point farthest from the stale center.
-                far = _sq_dists(points, centers[c:c + 1])[:, 0].argmax()
-                centers[c] = points[far]
+        # An empty cluster is reseeded at the point farthest from its stale center.
+        _label_means(points, labels, centers,
+                     lambda c: _sq_dists(points, centers[c:c + 1])[:, 0].argmax())
         new_labels, d2 = _assign(points, centers)
         wcss = float(d2[np.arange(n), new_labels].sum())
         assert wcss <= prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)), \
@@ -133,26 +136,13 @@ def _row_space(points):
     return q[inverse]
 
 
-def _input_centers(points, y, labels, y_centers):
-    """Centers in the coordinates of `points` for a partition found on its
-    row-space embedding y: per-label means, as _lloyd takes them.  A cluster
-    empty at the end keeps the row it was reseeded at, which is the row of y
-    at distance 0 from its center."""
-    centers = np.empty((len(y_centers), points.shape[1]))
-    for c, yc in enumerate(y_centers):
-        mask = labels == c
-        if mask.any():
-            centers[c] = points[mask].mean(axis=0)
-        else:
-            centers[c] = points[((y - yc) ** 2).sum(axis=1).argmin()]
-    return centers
-
-
 def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
     """Lloyd k-means, best of `replicates` runs by within-cluster sum of squares.
 
     Each replicate derives its RNG from (seed, replicate index), so the result
     is deterministic for any thread count.  Ties go to the lowest replicate id.
+    Replicates run on `threads` workers only on the row-space path below:
+    on narrow inputs a replicate is too short to gain from a thread.
 
     Points wider than tall (p > n) are clustered on their n-dimensional row
     space (_row_space), where a Lloyd step costs O(n²) instead of O(np).  The
@@ -192,10 +182,15 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
 
     # min holds only the best run so far and keeps the first of equal WCSS,
     # so ties go to the lowest replicate id.
-    runs = parallel_map(one, range(replicates), threads)
+    runs = parallel_map(one, range(replicates), threads if wide else 1)
     best, (labels, centers, wcss, iters) = min(enumerate(runs), key=wcss_of)
     if wide:
-        centers = _input_centers(points, space, labels, centers)
+        # A cluster empty at the end keeps the row it was reseeded at, the
+        # row of the embedding at distance 0 from its center.
+        space_centers = centers
+        centers = _label_means(
+            points, labels, np.empty((k, points.shape[1])),
+            lambda c: ((space - space_centers[c]) ** 2).sum(axis=1).argmin())
     return KmeansResult(labels=labels + 1, centers=centers + mean, wcss=wcss,
                         replicate_id=best, iterations=iters)
 

@@ -25,13 +25,14 @@ _METHODS = {
     "if-hier": (True, "hier"),
 }
 METHODS = tuple(_METHODS)
+NORMS = ("none", "meanstd", "medmad", "lower50")
 
 
 @dataclass(frozen=True)
 class PipelineOptions:
     k: int
     method: str = "ifpca"
-    norm: str = "meanstd"                 # none | meanstd | medmad | lower50
+    norm: str = "meanstd"                 # one of NORMS
     threshold: str = "hc"                 # "hc" | "fixed:<t>" | "fixed-q:<q~>"
     truncate: bool = False                # entrywise clip at log(p)/sqrt(n)
     null_table: object = None             # screen.NullTable, or None to simulate
@@ -47,7 +48,7 @@ class PipelineOptions:
             raise ValueError("K must be >= 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method}")
-        if self.norm not in ("none", "meanstd", "medmad", "lower50"):
+        if self.norm not in NORMS:
             raise ValueError(f"unknown normalization: {self.norm}")
         parse_threshold(self.threshold)  # validate eagerly
         if self.threads < 1:

@@ -1,5 +1,6 @@
 """Feature screening: KS scores, Monte-Carlo null tables, renormalization, p-values."""
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,12 +249,13 @@ def _null_header(table, reps):
     return f"ifpca-null v1, n={table.n}, N={reps}, seed={table.seed}"
 
 
-def _parse_null_header(line):
-    prefix = "ifpca-null v1, "
-    if not line.startswith(prefix):
-        raise ValueError(f"not an ifpca null-table header: {line!r}")
-    fields = dict(part.split("=") for part in line[len(prefix):].split(", "))
-    return int(fields["n"]), int(fields["N"]), int(fields["seed"])
+def _parse_null_header(line, path):
+    m = re.fullmatch(r"ifpca-null v1, n=(\d+), N=(\d+), seed=(-?\d+)", line)
+    n, reps, seed = map(int, m.groups()) if m else (0, 0, 0)
+    if n < 2 or reps < 1:
+        raise ValueError(f"{path}: expected a header 'ifpca-null v1, n=<n >= 2>, "
+                         f"N=<N >= 1>, seed=<int>', got {line!r}")
+    return n, reps, seed
 
 
 def save_null_table(table, path):
@@ -275,12 +277,15 @@ def load_null_table(path):
     if path.endswith(".bin"):
         with open(path, "rb") as f:
             header = f.readline().decode("ascii").rstrip("\n")
-            n, reps, seed = _parse_null_header(header)
+            n, reps, seed = _parse_null_header(header, path)
             values = np.frombuffer(f.read(8 * reps), dtype="<f8").copy()
     else:
         with open(path) as f:
-            n, reps, seed = _parse_null_header(f.readline().rstrip("\n"))
+            n, reps, seed = _parse_null_header(f.readline().rstrip("\n"), path)
             values = np.loadtxt(f, dtype=np.float64, ndmin=1)
     if values.size != reps:
-        raise ValueError(f"expected {reps} values, found {values.size}")
+        raise ValueError(f"{path}: expected {reps} values, found {values.size}")
+    # pvalues (searchsorted) and lower50 (the lower half by position) read it sorted.
+    if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
+        raise ValueError(f"{path}: null-table values must be finite and ascending")
     return NullTable(n=n, seed=seed, values=values)

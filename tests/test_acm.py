@@ -256,6 +256,27 @@ def test_config_round_trip_with_infinite_window():
     assert DistributionSpec.from_dict(d) == spec
 
 
+def test_every_preset_round_trips():
+    presets = [cfg for exp in ("1a", "1b", "2a", "2b", "3", "4", "5")
+               for cfg in experiment_preset(exp)]
+    assert len(presets) == 46
+    for cfg in presets:
+        assert AcmConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_config_reads_old_noise_form():
+    # to_dict writes every NoiseModel field; the short form, with only the
+    # fields the kind uses, still reads back.
+    nm = NoiseModel(kind="correlated", variant="random", d=0.1, subset_size=5)
+    assert set(nm.to_dict()) == {"kind", "class_variances", "variant", "d",
+                                 "subset_size"}
+    short = {"kind": "correlated", "variant": "random", "d": 0.1,
+             "subset_size": 5}
+    assert NoiseModel.from_dict(short) == nm
+    assert NoiseModel.from_dict({"kind": "student-t6"}) == \
+        NoiseModel(kind="student-t6")
+
+
 def test_truncated_samplers_respect_windows():
     rng = np.random.default_rng(5)
     s = DistributionSpec("truncnormal", (1.0, 0.01, 0.2)).sample(5000, rng)

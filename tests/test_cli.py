@@ -181,6 +181,29 @@ def test_cluster_with_stored_null_table(blob_csv, capsys, tmp_path):
     assert json.loads(out)["error_rate"] <= 0.1
 
 
+@pytest.mark.parametrize("content", [
+    "ifpca-null v1, n=40, seed=1\n0.5\n",                    # N missing
+    "ifpca-null v1, n=40, N=1, seed=1, x=2\n0.5\n",          # extra field
+    "ifpca-null v1, n=1, N=1, seed=1\n0.5\n",                # n < 2
+    "ifpca-null v1, n=40, N=0, seed=1\n",                    # N < 1
+    "ifpca-null v1, n=40, N=3, seed=1\n0.5\n0.3\n0.9\n",     # not ascending
+    "ifpca-null v1, n=40, N=2, seed=1\n0.5\nnan\n",          # not finite
+    "ifpca-null v1, n=40, N=2, seed=1\n0.5\ninf\n",
+])
+def test_cluster_malformed_null_table_exit_code(content, blob_csv, capsys,
+                                                tmp_path):
+    # A header with a field missing used to end in a KeyError traceback, and
+    # unsorted values in wrong p-values without an error.
+    xpath, _ = blob_csv
+    npath = tmp_path / "null.txt"
+    npath.write_text(content)
+    code, out, err = run(["cluster", "--input", xpath, "--k", "2",
+                          "--null-table", str(npath)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {npath}: ")
+
+
 def test_nulltable_round_trip(tmp_path, capsys):
     out = str(tmp_path / "null.bin")
     code, _, _ = run(["nulltable", "--n", "30", "--reps", "2000",
@@ -213,6 +236,44 @@ def test_simulate_tiny_config_deterministic(tmp_path, capsys):
     for line in lines[1:]:
         mean = float(line.split(",")[-3])
         assert 0.0 <= mean <= 0.5
+
+
+TINY_CONFIG = {"k": 2, "p": 150, "theta": 0.8, "vartheta": 0.25, "r": 2.0,
+               "rep": 2, "delta": [1 / 3, 2 / 3], "gamma": [0.5, 0.0, 0.5],
+               "g_mubar": {"kind": "normal", "params": [0.0, 1.0]},
+               "g_mu": {"kind": "uniform", "params": [1.0, 0.2]},
+               "g_sigma": {"kind": "pointmass", "params": [1.0]}}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"p": None}, "AcmConfig.p"),
+    ({"threshhold_q": 0.03}, "AcmConfig.threshhold_q"),
+    ({"noise": {"kind": "correlated", "variant": "band", "dd": 0.5}},
+     "AcmConfig.noise.dd"),
+    ("array", "AcmConfig"),
+    ({"k": "2"}, "AcmConfig.k"),
+    ({"k": True}, "AcmConfig.k"),
+    ({"g_mu": {"kind": "uniform", "params": 1}}, "AcmConfig.g_mu.params"),
+    ({"delta": [0.5, "x"]}, "AcmConfig.delta[1]"),
+    ({"g_mu": {"kind": "uniform", "params": [1.0, math.nan]}},
+     "AcmConfig.g_mu.params[1]"),
+])
+def test_simulate_malformed_config_is_usage_error(change, field, tmp_path,
+                                                  capsys):
+    # A misspelled key used to be dropped (exit 0 with the default value);
+    # a missing or mistyped one ended in a traceback.
+    if change == "array":
+        cfg = [TINY_CONFIG]
+    else:
+        cfg = {**TINY_CONFIG, **change}
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    code, out, err = run(["simulate", "--config", str(cpath), "--reps", "1",
+                          "--methods", "kmeans"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}")
 
 
 def test_simulate_zero_reps_is_usage_error(tmp_path, capsys):

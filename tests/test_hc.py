@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifpca.errors import NoEligibleIndex
 from ifpca.hc import hc_threshold
@@ -81,3 +83,19 @@ def test_hc_monotone_relabeling_invariance():
     f = np.exp  # strictly increasing map applied to both sides
     res2 = hc_threshold(pvalues(f(scores), f(null)), f(scores), n=n)
     assert res1.j_hat == res2.j_hat
+
+
+@settings(max_examples=200)
+@given(p=st.integers(4, 60), data=st.data())
+def test_hc_ties_go_to_smallest_j_property(p, data):
+    # p-values on the grid m/p make the HC numerator j/p - m/p exactly 0 at
+    # several ranks, so the maximum is often tied.
+    m = data.draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
+    pvals = np.asarray(m, dtype=np.float64) / p
+    scores = np.linspace(2.0, 1.0, p)
+    res = hc_threshold(pvals, scores, n=data.draw(st.integers(2, 500)),
+                       allow_fallback=True)
+    j = np.arange(1, p + 1)
+    pool = res.eligible if res.eligible.any() else j < p / 2
+    best = res.hc_curve[pool].max()
+    assert res.j_hat == j[pool & (res.hc_curve == best)].min()

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifpca.acm import AcmConfig, DistributionSpec, generate
 from ifpca.errors import EmptySelection
@@ -171,6 +173,24 @@ def test_thread_count_does_not_change_results(method, null120):
     ja = run_pipeline(x, a, truth=y).to_json(include_timings=False)
     jb = run_pipeline(x, b, truth=y).to_json(include_timings=False)
     assert ja == jb
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_column_permutation_equivariance(seed, null120):
+    # Screening scores each column on its own, so the selected set permutes
+    # with the columns; on separated classes the labels stay the same.  A
+    # column's mean and SD may round differently at another position, so the
+    # threshold agrees only up to rounding.
+    x, y = two_class_data(seed=seed % 1000)
+    perm = np.random.default_rng(seed).permutation(x.shape[1])
+    opts = PipelineOptions(k=2, norm="none", null_table=null120, seed=1)
+    a = run_pipeline(x, opts)
+    b = run_pipeline(x[:, perm], opts)
+    assert np.array_equal(np.sort(perm[b.selected - 1] + 1), a.selected)
+    assert np.array_equal(b.labels, a.labels)
+    assert b.threshold == pytest.approx(a.threshold, rel=1e-12)
+    assert b.j_hat == a.j_hat
 
 
 def test_run_is_deterministic(null120):

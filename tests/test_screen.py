@@ -91,6 +91,35 @@ def test_ks_scores_affine_invariant():
 
 
 @settings(max_examples=50)
+@given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1),
+       a=st.floats(1e-3, 1e3), b=st.floats(-1e3, 1e3))
+def test_ks_scores_affine_invariant_property(n, seed, a, b):
+    # a*x + b is exact up to an ulp of |b| + a|x|, and the mean and SD add a
+    # relative n*eps, so the standardized values move by at most about
+    # n*eps*(|b| + a*max|x|)/(a*sd); Phi is 1/sqrt(2 pi)-Lipschitz and the
+    # score carries a factor sqrt(n).
+    x = np.random.default_rng(seed).standard_normal((n, 1))
+    base = ks_scores(standardize_columns(x)).scores[0]
+    s = ks_scores(standardize_columns(a * x + b)).scores[0]
+    eps = np.finfo(np.float64).eps
+    bound = math.sqrt(n) * 16 * n * eps * (abs(b) / a + np.abs(x).max()) / x.std()
+    assert abs(s - base) <= bound
+
+
+@settings(max_examples=100)
+@given(null=st.lists(st.floats(-5, 5), min_size=1, max_size=50),
+       scores=st.lists(st.floats(-6, 6), min_size=1, max_size=50))
+def test_pvalues_antitone_property(null, scores):
+    # Ties in the scores and between scores and the null included.
+    null = np.sort(null)
+    scores = np.asarray(scores + null[:3].tolist())
+    p = pvalues(scores, null)
+    order = np.argsort(scores, kind="stable")
+    assert np.all(np.diff(p[order]) <= 0)
+    assert np.all((p > 0) & (p <= 1))
+
+
+@settings(max_examples=50)
 @given(n=st.integers(2, 300), p=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
 def test_ks_scores_match_columnwise_calls(n, p, seed):
     # Both go through one KS kernel, so the agreement is exact.
