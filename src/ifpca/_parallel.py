@@ -1,5 +1,4 @@
-"""One thread fan-out for the k-means replicates, the KS column blocks and
-the null-table chunks."""
+"""One thread fan-out for the KS column blocks and the null-table chunks."""
 
 from concurrent.futures import ThreadPoolExecutor
 

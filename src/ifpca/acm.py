@@ -153,6 +153,16 @@ class AcmConfig(_JsonFields):
             raise InvalidConfig("r must be positive")
         if not (math.isfinite(self.threshold_q) and self.threshold_q > 0):
             raise InvalidConfig("threshold_q must be finite and positive")
+        if self.rep < 1:
+            raise InvalidConfig("AcmConfig.rep: need at least 1 replication")
+        if self.p < 2 or self.n < self.k:
+            raise InvalidConfig(f"AcmConfig.p: p={self.p} gives n={self.n}; "
+                                f"need p >= 2 and n >= K={self.k}")
+        noise = self.noise
+        if (noise.kind == "correlated" and noise.variant == "random"
+                and not 1 <= noise.subset_size <= self.p - 1):
+            raise InvalidConfig("AcmConfig.noise.subset_size: must lie in "
+                                f"[1, p-1={self.p - 1}]")
 
     @property
     def n(self):
@@ -241,8 +251,6 @@ def generate(config, seed, use_realized_delta=False):
     contrast means sum to zero (prior delta by default).
     """
     n, p, k = config.n, config.p, config.k
-    if n < k:
-        raise InvalidConfig(f"n={n} < K={k}")
     rng = np.random.default_rng(seed)
     delta = np.asarray(config.delta, dtype=np.float64)
     gamma = np.asarray(config.gamma, dtype=np.float64)

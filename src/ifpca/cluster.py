@@ -6,10 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ._parallel import parallel_map
 from .errors import InvalidK
 
 LLOYD_MAX_ITER = 300
+
+# Replicates run Lloyd together in groups of at most this many n×K cells per
+# stacked array (128 KiB of float64), so memory does not grow with their number.
+GROUP_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -21,66 +24,118 @@ class KmeansResult:
     iterations: int
 
 
-def _sq_dists(a, b):
-    """Squared Euclidean distances between the rows of a and of b,
-    |a|² + |b|² − 2ab′ from one matrix product.
+def _sq_dists(a, b, a_sq=None):
+    """Squared Euclidean distances between the rows of a (n×p) and of b:
+    n×K for b K×p, r×n×K for a stack b r×K×p.  |a|² + |b|² − 2ab′ from one
+    matrix product; a_sq is |a|² when the caller has it.
 
-    (b a′)′ is much faster than a b′ for the n×p by p×K product.  Adding the
-    norms first keeps _sq_dists(a, a) exactly symmetric.  Values within the
-    rounding error 2(p+2)·eps·(|a|²+|b|²) of 0 are set to 0, so equal rows
-    are at distance 0 and tie exactly.
+    The product is b a′, much faster than a b′ for the n×p by p×K product,
+    so the distances are formed K×n and returned as a transposed view.
+    Adding the norms first keeps _sq_dists(a, a) exactly symmetric.  Values
+    within the rounding error 2(p+2)·eps·(|a|²+|b|²) of 0 are set to 0, so
+    equal rows are at distance 0 and tie exactly.
     """
     ab2 = b @ a.T
     ab2 *= 2.0
-    d2 = np.add.outer(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b))
+    if a_sq is None:
+        a_sq = np.einsum("ij,ij->i", a, a)
+    d2 = np.einsum("...j,...j->...", b, b)[..., None] + a_sq
     tol = d2 * (2 * (a.shape[1] + 2) * np.finfo(np.float64).eps)
-    d2 -= ab2.T
+    d2 -= ab2
     d2[d2 <= tol] = 0.0
-    return d2
+    return np.swapaxes(d2, -1, -2)
 
 
-def _assign(points, centers):
-    d2 = _sq_dists(points, centers)
-    # Equal centers get the first one's column, so their ties go to the lower
-    # index; the product can give equal centers columns a few ulps apart.
-    first = {}
-    for c, row in enumerate(centers):
-        f = first.setdefault(row.tobytes(), c)
-        if f != c:
-            d2[:, c] = d2[:, f]
-    return d2.argmin(axis=1), d2
+def _assign(points, x_sq, centers):
+    """Nearest center of each point for each set of a r×K×d stack of centers,
+    the lowest index on ties: labels (r×n) and squared distances (r×K×n);
+    x_sq is |points|²."""
+    d2 = np.swapaxes(_sq_dists(points, centers, x_sq), 1, 2)
+    # Equal centers get the first one's row, so their ties go to the lower
+    # index; the product can give equal centers distances a few ulps apart.
+    # Equal centers are found by a stable sort of their bytes.
+    r, k, d = centers.shape
+    rows = np.ascontiguousarray(centers).view(np.dtype((np.void, 8 * d)))[..., 0]
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    repeat = np.zeros((r, k), dtype=bool)
+    repeat[:, 1:] = ranked[:, 1:] == ranked[:, :-1]
+    if repeat.any():
+        # Each run of equal rows begins at its lowest index.
+        start = np.maximum.accumulate(np.where(repeat, 0, np.arange(k)), axis=1)
+        first = np.empty_like(order)
+        np.put_along_axis(first, order, np.take_along_axis(order, start, axis=1),
+                          axis=1)
+        d2 = np.take_along_axis(d2, first[:, :, None], axis=1)
+    # argmax finds the first center at the least distance.
+    return (d2 == d2.min(axis=1, keepdims=True)).argmax(axis=1), d2
 
 
-def _label_means(points, labels, centers, empty_row):
-    """Set row c of centers to the mean of the points labelled c, or to
-    points[empty_row(c)] when no point is."""
-    for c in range(centers.shape[0]):
-        mask = labels == c
-        centers[c] = points[mask].mean(axis=0) if mask.any() else points[empty_row(c)]
-    return centers
+def _label_means(points, labels, k, empty_row):
+    """Centers r×k×d of a stack of labelings (r×n): center c of set i is the
+    mean of the points labelled c in row i, or points[empty_row(i, c)] when
+    no point is.
+
+    The sums are one product with the one-hot label matrix, which adds each
+    label's points in row order as numpy's mean over rows does.
+    """
+    onehot = (labels[:, None, :] == np.arange(k)[:, None]).astype(np.float64)
+    counts = onehot.sum(axis=2)[..., None]
+    means = np.einsum("rkn,nd->rkd", onehot, points)
+    np.divide(means, counts, out=means, where=counts > 0)
+    for i, c in zip(*np.nonzero(counts[..., 0] == 0)):
+        means[i, c] = points[empty_row(i, c)]
+    return means
+
+
+def _residual_wcss(points, centers, labels):
+    """Σ|x − c(x)|² of each labeling of a stack, from the residuals, in slices
+    of at most GROUP_CELLS residual cells."""
+    r, k, d = centers.shape
+    size = max(1, GROUP_CELLS // (len(points) * d))
+    rows = labels + k * np.arange(r)[:, None]
+    flat = centers.reshape(r * k, d)
+    return np.concatenate([
+        ((points - flat[rows[s:s + size]]) ** 2).sum(axis=2).sum(axis=1)
+        for s in range(0, r, size)])
 
 
 def _lloyd(points, centers):
-    n, _ = points.shape
-    labels, d2 = _assign(points, centers)
-    prev_wcss = np.inf
+    """Lloyd's algorithm from each set of a r×K×d stack of seeds at once.
+
+    Each step assigns and updates every replicate whose labels still
+    changed; a replicate leaves when they stop.  Returns labels (r×n),
+    centers, WCSS (r,) and iterations (r,), each replicate's as if it had
+    run alone.
+    """
+    k = centers.shape[1]
+    x_sq = np.einsum("ij,ij->i", points, points)
+    labels, _ = _assign(points, x_sq, centers)
+    prev_wcss = np.full(len(centers), np.inf)
+    iterations = np.zeros(len(centers), dtype=np.intp)
+    live = np.arange(len(centers))
     for it in range(1, LLOYD_MAX_ITER + 1):
+        stale = centers[live]
         # An empty cluster is reseeded at the point farthest from its stale center.
-        _label_means(points, labels, centers,
-                     lambda c: _sq_dists(points, centers[c:c + 1])[:, 0].argmax())
-        new_labels, d2 = _assign(points, centers)
-        wcss = float(d2[np.arange(n), new_labels].sum())
-        assert wcss <= prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)), \
+        fresh = _label_means(
+            points, labels[live], k,
+            lambda i, c: _sq_dists(points, stale[i, c:c + 1], x_sq)[:, 0].argmax())
+        new_labels, d2 = _assign(points, x_sq, fresh)
+        wcss = d2.min(axis=1).sum(axis=1)
+        prev = prev_wcss[live]
+        assert (wcss <= prev + 1e-9 * np.maximum(1.0, np.abs(prev))).all(), \
             "Lloyd objective increased"
-        prev_wcss = wcss
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
+        prev_wcss[live] = wcss
+        moved = (new_labels != labels[live]).any(axis=1)
+        centers[live] = fresh
+        labels[live] = new_labels
+        iterations[live] = it
+        live = live[moved]
+        if not live.size:
             break
-        labels = new_labels
     # The returned WCSS comes from the residuals, not from the GEMM distances,
     # so replicates that reach one partition tie exactly.
-    wcss = float(((points - centers[labels]) ** 2).sum(axis=1).sum())
-    return labels, centers, wcss, it
+    return labels, centers, _residual_wcss(points, centers, labels), iterations
 
 
 def kmeanspp_seed(points, k, rng):
@@ -136,13 +191,12 @@ def _row_space(points):
     return q[inverse]
 
 
-def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
+def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     """Lloyd k-means, best of `replicates` runs by within-cluster sum of squares.
 
     Each replicate derives its RNG from (seed, replicate index), so the result
-    is deterministic for any thread count.  Ties go to the lowest replicate id.
-    Replicates run on `threads` workers only on the row-space path below:
-    on narrow inputs a replicate is too short to gain from a thread.
+    is deterministic.  Ties go to the lowest replicate id.  Replicates run
+    Lloyd together, in groups of at most GROUP_CELLS n×K cells (_lloyd).
 
     Points wider than tall (p > n) are clustered on their n-dimensional row
     space (_row_space), where a Lloyd step costs O(n²) instead of O(np).  The
@@ -160,6 +214,11 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
         raise InvalidK(f"K={k} must lie in [1, n={n}]")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if points.shape[1] == 0:
+        raise ValueError("points must have at least one column")
+    seeders = {"plusplus": kmeanspp_seed, "uniform-sample": _uniform_seed}
+    if init not in seeders:
+        raise ValueError(f"unknown init: {init}")
     # Lloyd runs on centered points: |x|² + |c|² − 2x·c loses the distances
     # to cancellation when the data sit far from the origin.
     mean = points.mean(axis=0)
@@ -167,32 +226,28 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample", threads=1):
     wide = points.shape[1] > n
     space = _row_space(points) if wide else points
 
-    def one(rep):
-        rng = np.random.default_rng([seed, rep])
-        if init == "plusplus":
-            centers = kmeanspp_seed(space, k, rng)
-        elif init == "uniform-sample":
-            centers = _uniform_seed(space, k, rng)
-        else:
-            raise ValueError(f"unknown init: {init}")
-        return _lloyd(space, centers)
-
-    def wcss_of(rep_run):
-        return rep_run[1][2]
-
-    # min holds only the best run so far and keeps the first of equal WCSS,
-    # so ties go to the lowest replicate id.
-    runs = parallel_map(one, range(replicates), threads if wide else 1)
-    best, (labels, centers, wcss, iters) = min(enumerate(runs), key=wcss_of)
+    group = max(1, GROUP_CELLS // (n * k))
+    best = None
+    for first in range(0, replicates, group):
+        reps = range(first, min(first + group, replicates))
+        seeds = np.stack([seeders[init](space, k, np.random.default_rng([seed, rep]))
+                          for rep in reps])
+        labels, centers, wcss, iters = _lloyd(space, seeds)
+        # argmin and the strict < keep the first of equal WCSS, so ties go to
+        # the lowest replicate id.
+        i = int(wcss.argmin())
+        if best is None or wcss[i] < best[2]:
+            best = labels[i], centers[i], float(wcss[i]), first + i, int(iters[i])
+    labels, centers, wcss, best_rep, iters = best
     if wide:
         # A cluster empty at the end keeps the row it was reseeded at, the
         # row of the embedding at distance 0 from its center.
         space_centers = centers
         centers = _label_means(
-            points, labels, np.empty((k, points.shape[1])),
-            lambda c: ((space - space_centers[c]) ** 2).sum(axis=1).argmin())
+            points, labels[None], k,
+            lambda _, c: ((space - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
     return KmeansResult(labels=labels + 1, centers=centers + mean, wcss=wcss,
-                        replicate_id=best, iterations=iters)
+                        replicate_id=best_rep, iterations=iters)
 
 
 def hierarchical_complete(points, k):
@@ -211,7 +266,8 @@ def hierarchical_complete(points, k):
     if not 1 <= k <= n:
         raise InvalidK(f"K={k} must lie in [1, n={n}]")
 
-    d = _sq_dists(points, points)
+    # Exactly symmetric: its transpose is the same matrix, in C order.
+    d = _sq_dists(points, points).T
     np.fill_diagonal(d, np.inf)
     owner = np.arange(n)
     for _ in range(n - k):

@@ -167,8 +167,7 @@ def _cluster(data, clusterer, opts, p, timings):
         labels = cluster.hierarchical_complete(data, opts.k)
     else:
         labels = cluster.kmeans(data, opts.k, replicates=opts.replicates,
-                                seed=opts.seed, init=init,
-                                threads=opts.threads).labels
+                                seed=opts.seed, init=init).labels
     timings["kmeans" if clusterer == "spectral" else "cluster"] = \
         time.perf_counter() - t0
     return labels

@@ -249,11 +249,11 @@ def _null_header(table, reps):
     return f"ifpca-null v1, n={table.n}, N={reps}, seed={table.seed}"
 
 
-def _parse_null_header(line, path):
+def _parse_null_header(line):
     m = re.fullmatch(r"ifpca-null v1, n=(\d+), N=(\d+), seed=(-?\d+)", line)
     n, reps, seed = map(int, m.groups()) if m else (0, 0, 0)
     if n < 2 or reps < 1:
-        raise ValueError(f"{path}: expected a header 'ifpca-null v1, n=<n >= 2>, "
+        raise ValueError("expected a header 'ifpca-null v1, n=<n >= 2>, "
                          f"N=<N >= 1>, seed=<int>', got {line!r}")
     return n, reps, seed
 
@@ -273,19 +273,25 @@ def save_null_table(table, path):
 
 
 def load_null_table(path):
+    """Read a table written by save_null_table.  A file that does not decode,
+    parse or hold N finite ascending values raises ValueError naming it."""
     path = str(path)
-    if path.endswith(".bin"):
-        with open(path, "rb") as f:
-            header = f.readline().decode("ascii").rstrip("\n")
-            n, reps, seed = _parse_null_header(header, path)
-            values = np.frombuffer(f.read(8 * reps), dtype="<f8").copy()
-    else:
-        with open(path) as f:
-            n, reps, seed = _parse_null_header(f.readline().rstrip("\n"), path)
-            values = np.loadtxt(f, dtype=np.float64, ndmin=1)
-    if values.size != reps:
-        raise ValueError(f"{path}: expected {reps} values, found {values.size}")
-    # pvalues (searchsorted) and lower50 (the lower half by position) read it sorted.
-    if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
-        raise ValueError(f"{path}: null-table values must be finite and ascending")
+    try:
+        if path.endswith(".bin"):
+            with open(path, "rb") as f:
+                header = f.readline().decode("ascii").rstrip("\n")
+                n, reps, seed = _parse_null_header(header)
+                values = np.frombuffer(f.read(8 * reps), dtype="<f8").copy()
+        else:
+            with open(path) as f:
+                n, reps, seed = _parse_null_header(f.readline().rstrip("\n"))
+                values = np.loadtxt(f, dtype=np.float64, ndmin=1)
+        if values.size != reps:
+            raise ValueError(f"expected {reps} values, found {values.size}")
+        # pvalues (searchsorted) and lower50 (the lower half by position) read
+        # it sorted.
+        if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
+            raise ValueError("null-table values must be finite and ascending")
+    except ValueError as e:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {e}") from None
     return NullTable(n=n, seed=seed, values=values)

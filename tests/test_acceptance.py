@@ -198,7 +198,7 @@ def test_acceptance_6_invariants():
             d = int(rng.integers(1, 5))
             k = int(rng.integers(2, min(6, n)))
             pts = rng.standard_normal((n, d)) * rng.uniform(0.1, 5.0)
-            _lloyd(pts, _uniform_seed(pts, k, rng))
+            _lloyd(pts, _uniform_seed(pts, k, rng)[None])
     except AssertionError:
         lloyd_ok = False
 

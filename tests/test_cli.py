@@ -189,14 +189,20 @@ def test_cluster_with_stored_null_table(blob_csv, capsys, tmp_path):
     "ifpca-null v1, n=40, N=3, seed=1\n0.5\n0.3\n0.9\n",     # not ascending
     "ifpca-null v1, n=40, N=2, seed=1\n0.5\nnan\n",          # not finite
     "ifpca-null v1, n=40, N=2, seed=1\n0.5\ninf\n",
+    "ifpca-null v1, n=40, N=1, seed=1\nabc\n",              # does not parse
+    ("null.txt", b"ifpca-null v1, n=40, N=1, seed=1\n\xff\n"),  # not UTF-8
+    ("null.bin", b"\xffifpca-null v1\n"),                    # not ASCII
 ])
 def test_cluster_malformed_null_table_exit_code(content, blob_csv, capsys,
                                                 tmp_path):
-    # A header with a field missing used to end in a KeyError traceback, and
-    # unsorted values in wrong p-values without an error.
+    # A header with a field missing used to end in a KeyError traceback,
+    # unsorted values in wrong p-values without an error, and a file that
+    # did not decode or parse in a message without its name.
+    name, content = content if isinstance(content, tuple) else ("null.txt",
+                                                                content)
     xpath, _ = blob_csv
-    npath = tmp_path / "null.txt"
-    npath.write_text(content)
+    npath = tmp_path / name
+    npath.write_bytes(content if isinstance(content, bytes) else content.encode())
     code, out, err = run(["cluster", "--input", xpath, "--k", "2",
                           "--null-table", str(npath)], capsys)
     assert code == 3
@@ -257,11 +263,18 @@ TINY_CONFIG = {"k": 2, "p": 150, "theta": 0.8, "vartheta": 0.25, "r": 2.0,
     ({"delta": [0.5, "x"]}, "AcmConfig.delta[1]"),
     ({"g_mu": {"kind": "uniform", "params": [1.0, math.nan]}},
      "AcmConfig.g_mu.params[1]"),
+    ({"rep": 0}, "AcmConfig.rep"),
+    ({"p": 1}, "AcmConfig.p"),
+    ({"p": 2, "theta": 0.1}, "AcmConfig.p"),
+    ({"noise": {"kind": "correlated", "variant": "random", "d": 0.1,
+                "subset_size": 150}}, "AcmConfig.noise.subset_size"),
 ])
 def test_simulate_malformed_config_is_usage_error(change, field, tmp_path,
                                                   capsys):
     # A misspelled key used to be dropped (exit 0 with the default value);
-    # a missing or mistyped one ended in a traceback.
+    # a missing or mistyped one ended in a traceback.  Counts that cannot
+    # generate data (no replications, n < 2, a support wider than p − 1)
+    # used to fail after the CSV header or print NaN rows.
     if change == "array":
         cfg = [TINY_CONFIG]
     else:

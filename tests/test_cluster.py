@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,58 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ifpca.cluster import (_assign, _lloyd, _sq_dists, _uniform_seed,
+from ifpca import cluster
+from ifpca.cluster import (LLOYD_MAX_ITER, _sq_dists, _uniform_seed,
                            hamming_error, hierarchical_complete, kmeans,
                            kmeanspp_seed)
 from ifpca.errors import InvalidK
+
+
+# Oracle: Lloyd one replicate at a time, as kmeans ran it before replicates
+# ran together (_assign, _label_means and _lloyd, verbatim).
+
+def _assign(points, centers):
+    d2 = _sq_dists(points, centers)
+    # Equal centers get the first one's column, so their ties go to the lower
+    # index; the product can give equal centers columns a few ulps apart.
+    first = {}
+    for c, row in enumerate(centers):
+        f = first.setdefault(row.tobytes(), c)
+        if f != c:
+            d2[:, c] = d2[:, f]
+    return d2.argmin(axis=1), d2
+
+
+def _label_means(points, labels, centers, empty_row):
+    """Set row c of centers to the mean of the points labelled c, or to
+    points[empty_row(c)] when no point is."""
+    for c in range(centers.shape[0]):
+        mask = labels == c
+        centers[c] = points[mask].mean(axis=0) if mask.any() else points[empty_row(c)]
+    return centers
+
+
+def _lloyd(points, centers):
+    n, _ = points.shape
+    labels, d2 = _assign(points, centers)
+    prev_wcss = np.inf
+    for it in range(1, LLOYD_MAX_ITER + 1):
+        # An empty cluster is reseeded at the point farthest from its stale center.
+        _label_means(points, labels, centers,
+                     lambda c: _sq_dists(points, centers[c:c + 1])[:, 0].argmax())
+        new_labels, d2 = _assign(points, centers)
+        wcss = float(d2[np.arange(n), new_labels].sum())
+        assert wcss <= prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)), \
+            "Lloyd objective increased"
+        prev_wcss = wcss
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    # The returned WCSS comes from the residuals, not from the GEMM distances,
+    # so replicates that reach one partition tie exactly.
+    wcss = float(((points - centers[labels]) ** 2).sum(axis=1).sum())
+    return labels, centers, wcss, it
 
 
 def hamming_oracle(yhat, y, k):
@@ -81,6 +130,12 @@ def test_kmeans_invalid_k():
         kmeans(np.zeros((3, 1)), 4, replicates=1, seed=0)
 
 
+def test_kmeans_rejects_points_without_columns():
+    # Equal centers are found by their bytes, and an empty row has none.
+    with pytest.raises(ValueError, match="column"):
+        kmeans(np.zeros((5, 0)), 2, replicates=1, seed=0)
+
+
 def test_kmeans_wcss_matches_recompute():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((40, 2))
@@ -91,8 +146,6 @@ def test_kmeans_wcss_matches_recompute():
 
 
 def test_kmeans_winner_beats_single_replicates():
-    from ifpca.cluster import _lloyd, _uniform_seed
-
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((30, 2))
     best = kmeans(pts, 4, replicates=8, seed=9)
@@ -100,15 +153,6 @@ def test_kmeans_winner_beats_single_replicates():
         r = np.random.default_rng([9, rep])
         _, _, wcss, _ = _lloyd(pts, _uniform_seed(pts, 4, r))
         assert best.wcss <= wcss + 1e-12
-
-
-def test_kmeans_thread_invariant():
-    rng = np.random.default_rng(4)
-    pts = rng.standard_normal((50, 3))
-    a = kmeans(pts, 3, replicates=6, seed=1, threads=1)
-    b = kmeans(pts, 3, replicates=6, seed=1, threads=4)
-    assert np.array_equal(a.labels, b.labels)
-    assert a.wcss == b.wcss
 
 
 def test_kmeanspp_k1_uniform():
@@ -253,7 +297,9 @@ def test_assign_equal_centers_tie_to_lower_index():
         points = rows[rng.integers(0, k, size=n)]
         centers = rows.copy()
         centers[k - 1] = centers[0]
-        labels, d2 = _assign(points, centers)
+        labels, d2 = cluster._assign(
+            points, np.einsum("ij,ij->i", points, points), centers[None])
+        labels, d2 = labels[0], d2[0].T
         assert np.array_equal(d2[:, k - 1], d2[:, 0])
         assert not (labels == k - 1).any()
 
@@ -295,12 +341,13 @@ ROW_SPACE_RTOL = 1e-13
 
 
 @st.composite
-def _wide_inputs(draw):
-    """(points, k, seed) with p > n, often with rows drawn with replacement,
-    and Gaussian entries, so that distinct distances do not tie exactly."""
+def _kmeans_inputs(draw, wide):
+    """(points, k, seed) with p > n when wide (else p ≤ n), often with rows
+    drawn with replacement, and Gaussian entries, so that distinct distances
+    do not tie exactly."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(2, 30))
-    p = draw(st.integers(n + 1, 150))
+    p = draw(st.integers(n + 1, 150) if wide else st.integers(1, n))
     distinct = draw(st.integers(1, n))
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((distinct, p))
@@ -310,7 +357,7 @@ def _wide_inputs(draw):
     return points, draw(st.integers(1, n)), seed
 
 
-@given(_wide_inputs(), st.sampled_from(["uniform-sample", "plusplus"]),
+@given(_kmeans_inputs(wide=True), st.sampled_from(["uniform-sample", "plusplus"]),
        st.integers(1, 4))
 def test_kmeans_row_space_matches_full_width(case, init, replicates):
     points, k, seed = case
@@ -323,6 +370,32 @@ def test_kmeans_row_space_matches_full_width(case, init, replicates):
     assert abs(res.wcss - wcss) <= ROW_SPACE_RTOL * tss
     assert np.abs(res.centers - centers).max() <= \
         ROW_SPACE_RTOL * np.abs(points).max()
+
+
+# Bound of kmeans, whose replicates run Lloyd together, against the oracle run
+# one replicate at a time.  With two or more columns the center update adds
+# each label's points in row order, as numpy's mean over rows does, and every
+# value is bit-identical; one-column means numpy sums pairwise, so centers and
+# WCSS differ in rounding, as on the row space (ROW_SPACE_RTOL).
+BATCHED_RTOL = ROW_SPACE_RTOL
+
+
+@given(st.booleans().flatmap(lambda wide: _kmeans_inputs(wide=wide)),
+       st.sampled_from(["uniform-sample", "plusplus"]), st.integers(1, 8),
+       st.integers(1, 3))
+def test_kmeans_matches_per_replicate_oracle(case, init, replicates, group):
+    # Groups of `group` replicates, so that runs cross group boundaries.
+    points, k, seed = case
+    with mock.patch.object(cluster, "GROUP_CELLS", group * len(points) * k):
+        res = kmeans(points, k, replicates=replicates, seed=seed, init=init)
+    labels, centers, wcss, rep, iters = full_width_kmeans(
+        points, k, replicates, seed, init)
+    assert np.array_equal(res.labels, labels)
+    assert (res.replicate_id, res.iterations) == (rep, iters)
+    tss = float(((points - points.mean(axis=0)) ** 2).sum())
+    assert abs(res.wcss - wcss) <= BATCHED_RTOL * tss
+    assert np.abs(res.centers - centers).max() <= \
+        BATCHED_RTOL * np.abs(points).max()
 
 
 def test_kmeans_empty_final_cluster_keeps_its_reseed_row():
@@ -364,6 +437,21 @@ def test_cluster_peak_memory_is_linear_in_input(call):
     finally:
         tracemalloc.stop()
     assert peak < 4 * x.nbytes
+
+
+def test_kmeans_peak_memory_does_not_grow_with_replicates():
+    # Replicates run in groups of at most GROUP_CELLS n×K cells, so the
+    # traced peak stays within a few copies of the input (40 kB) and a fixed
+    # number of group-sized arrays (128 KiB each).  All 2000 at once took
+    # over 4000 copies of the input.
+    x = np.random.default_rng(14).standard_normal((100, 50))
+    tracemalloc.start()
+    try:
+        kmeans(x, 3, replicates=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.nbytes + 12 * 8 * cluster.GROUP_CELLS
 
 
 def test_hamming_examples():
