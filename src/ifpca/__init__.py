@@ -7,15 +7,15 @@ from .acm import A0, AcmConfig, DistributionSpec, NoiseModel, generate
 from .cluster import hamming_error, hierarchical_complete, kmeans
 from .hc import hc_threshold
 from .matrix import entrywise_truncate, standardize_columns, truncated_left_svd
-from .pipeline import PipelineOptions, RunReport, run_pipeline
+from .pipeline import Instance, PipelineOptions, RunReport, run_pipeline
 from .screen import (build_null_table, ks_of_standardized, ks_scores,
                      load_null_table, normalize_scores, pvalues,
                      save_null_table, select_features)
 
 __all__ = [
-    "A0", "AcmConfig", "DistributionSpec", "NoiseModel", "PipelineOptions",
-    "RunReport", "build_null_table", "entrywise_truncate", "generate",
-    "hamming_error", "hc_threshold", "hierarchical_complete", "kmeans",
+    "A0", "AcmConfig", "DistributionSpec", "Instance", "NoiseModel",
+    "PipelineOptions", "RunReport", "build_null_table", "entrywise_truncate",
+    "generate", "hamming_error", "hc_threshold", "hierarchical_complete", "kmeans",
     "ks_of_standardized", "ks_scores", "load_null_table",
     "normalize_scores", "pvalues", "run_pipeline", "save_null_table",
     "select_features", "standardize_columns", "truncated_left_svd",

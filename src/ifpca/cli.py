@@ -99,14 +99,36 @@ def _bad_line(path, header):
     return None
 
 
-def load_labels(path):
-    y = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    return y
+def load_labels(path, n, k):
+    """Class labels of the n samples from a text file, one integer in 1..k
+    per line; blank lines are skipped.  A bad label or count raises
+    ValueError naming the file and, for a bad label, its line."""
+    labels = []
+    try:
+        with open(path) as f:
+            for num, line in enumerate(f, 1):
+                cell = line.strip()
+                if not cell:
+                    continue
+                try:
+                    label = int(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: line {num}: {cell!r} is not an "
+                                     f"integer label") from None
+                if not 1 <= label <= k:
+                    raise ValueError(f"{path}: line {num}: label {label} is "
+                                     f"outside 1..{k}")
+                labels.append(label)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if len(labels) != n:
+        raise ValueError(f"{path}: {len(labels)} labels for {n} samples")
+    return np.array(labels, dtype=np.int64)
 
 
 def cmd_cluster(args):
     x = load_matrix(args.input, transpose=args.transpose)
-    truth = load_labels(args.labels) if args.labels else None
+    truth = load_labels(args.labels, len(x), args.k) if args.labels else None
     null = screen.load_null_table(args.null_table) if args.null_table else None
     opts = pipeline.PipelineOptions(
         k=args.k, method=args.method, norm=args.norm, threshold=args.threshold,
@@ -153,8 +175,9 @@ def simulate_one(cfg, methods, reps, seed, null_cache, null_reps=0, threads=1):
     errors = {m: [] for m in methods}
     for rep in range(reps):
         x, truth = acm.generate(cfg, seed=[seed, rep])
+        instance = pipeline.Instance(x)
         for m in methods:
-            rpt = pipeline.run_pipeline(x, options[m], truth=truth.y)
+            rpt = pipeline.run_pipeline(instance, options[m], truth=truth.y)
             errors[m].append(rpt.error_rate)
     return {m: (float(np.mean(v)), float(np.std(v, ddof=1)) if len(v) > 1 else 0.0)
             for m, v in errors.items()}

@@ -100,16 +100,17 @@ def _residual_wcss(points, centers, labels):
         for s in range(0, r, size)])
 
 
-def _lloyd(points, centers):
+def _lloyd(points, centers, x_sq=None):
     """Lloyd's algorithm from each set of a r×K×d stack of seeds at once.
 
     Each step assigns and updates every replicate whose labels still
     changed; a replicate leaves when they stop.  Returns labels (r×n),
     centers, WCSS (r,) and iterations (r,), each replicate's as if it had
-    run alone.
+    run alone.  x_sq is |points|² when the caller has it.
     """
     k = centers.shape[1]
-    x_sq = np.einsum("ij,ij->i", points, points)
+    if x_sq is None:
+        x_sq = np.einsum("ij,ij->i", points, points)
     labels, _ = _assign(points, x_sq, centers)
     prev_wcss = np.full(len(centers), np.inf)
     iterations = np.zeros(len(centers), dtype=np.intp)
@@ -138,15 +139,18 @@ def _lloyd(points, centers):
     return labels, centers, _residual_wcss(points, centers, labels), iterations
 
 
-def kmeanspp_seed(points, k, rng):
+def kmeanspp_seed(points, k, rng, x_sq=None):
     """k-means++ seeding: next center drawn proportional to squared distance
-    to the nearest chosen center (uniform fallback when all distances vanish)."""
+    to the nearest chosen center (uniform fallback when all distances vanish).
+    x_sq is |points|² when the caller has it."""
     n = points.shape[0]
     if n < k:
         raise InvalidK(f"K={k} exceeds n={n}")
+    if x_sq is None:
+        x_sq = np.einsum("ij,ij->i", points, points)
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, centers[:1])[:, 0]
+    d2 = _sq_dists(points, centers[:1], x_sq)[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -154,7 +158,7 @@ def kmeanspp_seed(points, k, rng):
             centers[c] = points[rng.choice(n, p=probs)]
         else:
             centers[c] = points[rng.integers(n)]
-        d2 = np.minimum(d2, _sq_dists(points, centers[c:c + 1])[:, 0])
+        d2 = np.minimum(d2, _sq_dists(points, centers[c:c + 1], x_sq)[:, 0])
     return centers
 
 
@@ -163,32 +167,48 @@ def _uniform_seed(points, k, rng):
     return points[idx].copy()
 
 
-def _row_space(points):
-    """Rows of Y = Q·sqrt(Λ), from eigh of the Gram matrix QΛQ′ of the
-    distinct rows of `points`: n points in m ≤ n dimensions (m distinct rows)
-    with the same pairwise distances, and the same distances to any mean of
-    them (classical MDS, Torgerson 1952).
+@dataclass(frozen=True)
+class RowSpace:
+    """Points as k-means runs on them (row_space): their column mean, the
+    centered points (n×p), and `coords`, the rows Lloyd clusters, with
+    |coords|² in `sq`."""
+    mean: np.ndarray
+    centered: np.ndarray
+    coords: np.ndarray
+    sq: np.ndarray
 
-    Equal rows of `points` get bit-equal rows of Y, so exact ties stay exact.
-    Rows are matched by the hash of their bytes, confirmed by comparison.
-    The eigensolver is numpy's, for the reason in truncated_left_svd.
+
+def row_space(points):
+    """RowSpace of float64 n×p `points`.  The coordinates are the centered
+    points, or for p > n the rows of Y = Q·sqrt(Λ), from eigh of the Gram
+    matrix QΛQ′ of the distinct centered rows: n points in m ≤ n dimensions
+    (m distinct rows) with the same pairwise distances, and the same
+    distances to any mean of them (classical MDS, Torgerson 1952).
+
+    Equal rows get bit-equal rows of Y, so exact ties stay exact.  Rows are
+    matched by the hash of their bytes, confirmed by comparison.  The
+    eigensolver is numpy's, for the reason in truncated_left_svd.
     """
-    buckets, distinct = {}, []
-    inverse = np.empty(points.shape[0], dtype=np.intp)
-    for i, row in enumerate(points):
-        bucket = buckets.setdefault(hash(row.tobytes()), [])
-        for j in bucket:
-            if np.array_equal(points[distinct[j]], row):
-                break
-        else:
-            j = len(distinct)
-            bucket.append(j)
-            distinct.append(i)
-        inverse[i] = j
-    gram = points @ points.T
-    lam, q = np.linalg.eigh(gram[np.ix_(distinct, distinct)])
-    q *= np.sqrt(np.clip(lam, 0.0, None))
-    return q[inverse]
+    mean = points.mean(axis=0)
+    centered = coords = points - mean
+    if centered.shape[1] > centered.shape[0]:
+        buckets, distinct = {}, []
+        inverse = np.empty(centered.shape[0], dtype=np.intp)
+        for i, row in enumerate(centered):
+            bucket = buckets.setdefault(hash(row.tobytes()), [])
+            for j in bucket:
+                if np.array_equal(centered[distinct[j]], row):
+                    break
+            else:
+                j = len(distinct)
+                bucket.append(j)
+                distinct.append(i)
+            inverse[i] = j
+        gram = centered @ centered.T
+        lam, q = np.linalg.eigh(gram[np.ix_(distinct, distinct)])
+        q *= np.sqrt(np.clip(lam, 0.0, None))
+        coords = q[inverse]
+    return RowSpace(mean, centered, coords, np.einsum("ij,ij->i", coords, coords))
 
 
 def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
@@ -199,14 +219,16 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     Lloyd together, in groups of at most GROUP_CELLS n×K cells (_lloyd).
 
     Points wider than tall (p > n) are clustered on their n-dimensional row
-    space (_row_space), where a Lloyd step costs O(n²) instead of O(np).  The
+    space (row_space), where a Lloyd step costs O(n²) instead of O(np).  The
     distances are the same up to rounding, so labels, replicate id and
     iterations are those of Lloyd on the full width.  The WCSS is the row
     space's, within 1e-13 of the total sum of squares of the full-width
     value; centers are per-label means of the input rows, within 1e-13 of
-    the largest input entry.
+    the largest input entry.  `points` may be given as row_space(points),
+    which a caller clustering the same points more than once forms once.
     """
-    points = np.asarray(points, dtype=np.float64)
+    space = points if isinstance(points, RowSpace) else None
+    points = np.asarray(points, dtype=np.float64) if space is None else space.centered
     if points.ndim == 1:
         points = points[:, None]
     n = points.shape[0]
@@ -216,37 +238,38 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
         raise ValueError("replicates must be >= 1")
     if points.shape[1] == 0:
         raise ValueError("points must have at least one column")
-    seeders = {"plusplus": kmeanspp_seed, "uniform-sample": _uniform_seed}
-    if init not in seeders:
+    if init not in ("plusplus", "uniform-sample"):
         raise ValueError(f"unknown init: {init}")
     # Lloyd runs on centered points: |x|² + |c|² − 2x·c loses the distances
     # to cancellation when the data sit far from the origin.
-    mean = points.mean(axis=0)
-    points = points - mean
-    wide = points.shape[1] > n
-    space = _row_space(points) if wide else points
+    if space is None:
+        space = row_space(points)
+    coords = space.coords
 
     group = max(1, GROUP_CELLS // (n * k))
     best = None
     for first in range(0, replicates, group):
-        reps = range(first, min(first + group, replicates))
-        seeds = np.stack([seeders[init](space, k, np.random.default_rng([seed, rep]))
-                          for rep in reps])
-        labels, centers, wcss, iters = _lloyd(space, seeds)
+        rngs = [np.random.default_rng([seed, rep])
+                for rep in range(first, min(first + group, replicates))]
+        if init == "plusplus":
+            seeds = np.stack([kmeanspp_seed(coords, k, rng, space.sq) for rng in rngs])
+        else:
+            seeds = np.stack([_uniform_seed(coords, k, rng) for rng in rngs])
+        labels, centers, wcss, iters = _lloyd(coords, seeds, space.sq)
         # argmin and the strict < keep the first of equal WCSS, so ties go to
         # the lowest replicate id.
         i = int(wcss.argmin())
         if best is None or wcss[i] < best[2]:
             best = labels[i], centers[i], float(wcss[i]), first + i, int(iters[i])
     labels, centers, wcss, best_rep, iters = best
-    if wide:
+    if points.shape[1] > n:
         # A cluster empty at the end keeps the row it was reseeded at, the
         # row of the embedding at distance 0 from its center.
         space_centers = centers
         centers = _label_means(
-            points, labels[None], k,
-            lambda _, c: ((space - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
-    return KmeansResult(labels=labels + 1, centers=centers + mean, wcss=wcss,
+            space.centered, labels[None], k,
+            lambda _, c: ((coords - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
+    return KmeansResult(labels=labels + 1, centers=centers + space.mean, wcss=wcss,
                         replicate_id=best_rep, iterations=iters)
 
 

@@ -106,7 +106,7 @@ def truncated_left_svd(a, k):
     DegenerateGapWarning when the k-th and (k+1)-th singular values are
     closer than GAP_TOL * sigma_1.
 
-    The solver is numpy's, as in cluster._row_space: numpy and scipy each
+    The solver is numpy's, as in cluster.row_space: numpy and scipy each
     load their own OpenBLAS, and each keeps worker threads spinning for a
     while after a call, so calling both in one pipeline can leave more busy
     threads than cores and slow the interpreter thread.

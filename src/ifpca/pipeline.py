@@ -119,12 +119,31 @@ def _get_null_table(opts, n, p):
     return screen.build_null_table(n, reps, opts.seed, threads=opts.threads)
 
 
-def _select(w, opts, timings):
+class Instance:
+    """A data matrix and the stages every method derives from it alike: its
+    standardized matrix, that matrix's raw KS scores and its k-means row
+    space.  Each is formed, and timed, by the first run_pipeline call on the
+    instance that needs it, once per drop_constant setting."""
+
+    def __init__(self, x):
+        self.x = x
+        self._stages = {}
+
+    def _stage(self, name, opts, timings, form):
+        key = (name, opts.drop_constant)
+        if key not in self._stages:
+            t0 = time.perf_counter()
+            self._stages[key] = form()
+            timings[name] = time.perf_counter() - t0
+        return self._stages[key]
+
+
+def _select(inst, w, opts, timings):
     """KS screening and the threshold rule: (0-based columns, threshold, j_hat)."""
     n, p = w.n, w.p
-    t0 = time.perf_counter()
-    raw = screen.ks_scores(w, threads=opts.threads)
-    timings["ks"] = time.perf_counter() - t0
+    # The scores do not depend on the thread count.
+    raw = inst._stage("ks", opts, timings,
+                      lambda: screen.ks_scores(w, threads=opts.threads))
 
     rule, value = parse_threshold(opts.threshold)
     null = None
@@ -150,8 +169,9 @@ def _select(w, opts, timings):
 
 
 def _cluster(data, clusterer, opts, p, timings):
-    """Labels of the rows of `data`; `p` is the standardized width, which sets
-    the spectral embedding's truncation level log(p)/sqrt(n)."""
+    """Labels of the rows of `data` (a cluster.RowSpace for k-means on the
+    standardized matrix); `p` is the standardized width, which sets the
+    spectral embedding's truncation level log(p)/sqrt(n)."""
     init = clusterer
     if clusterer == "spectral":
         t0 = time.perf_counter()
@@ -174,15 +194,16 @@ def _cluster(data, clusterer, opts, p, timings):
 
 
 def run_pipeline(x, opts, truth=None):
-    """Standardize, screen if the method does, then cluster (see _METHODS)."""
+    """Standardize, screen if the method does, then cluster (see _METHODS).
+    `x` is a data matrix, or an Instance shared by several runs on one."""
+    inst = x if isinstance(x, Instance) else Instance(x)
     timings = {}
-    t0 = time.perf_counter()
-    w = matrix.standardize_columns(x, drop_constant=opts.drop_constant)
-    timings["standardize"] = time.perf_counter() - t0
+    w = inst._stage("standardize", opts, timings, lambda: matrix.standardize_columns(
+        inst.x, drop_constant=opts.drop_constant))
 
     screened, clusterer = _METHODS[opts.method]
     if screened:
-        cols, threshold, j_hat = _select(w, opts, timings)
+        cols, threshold, j_hat = _select(inst, w, opts, timings)
         # take gathers row by row from the C-ordered matrix, faster than
         # w.values[:, cols].
         data = np.take(w.values, cols, axis=1)
@@ -190,6 +211,9 @@ def run_pipeline(x, opts, truth=None):
         # slice(None) takes every column as a view, without a copy.
         cols, threshold, j_hat = slice(None), -math.inf, None
         data = w.values
+        if clusterer in ("uniform-sample", "plusplus"):
+            data = inst._stage("row_space", opts, timings,
+                               lambda: cluster.row_space(w.values))
     labels = _cluster(data, clusterer, opts, w.p, timings)
 
     err = None

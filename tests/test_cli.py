@@ -1,6 +1,9 @@
+import collections
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ifpca import cli
+from ifpca import acm, cli, cluster, matrix, screen
 from ifpca.screen import build_null_table, load_null_table, save_null_table
 
 
@@ -388,6 +391,76 @@ def test_cluster_labels_out_of_range_exit_code(labels, blob_csv, capsys,
                         "--method", "kmeans", "--labels", str(ypath)], capsys)
     assert code == 3
     assert "1..2" in err
+
+
+@pytest.mark.parametrize("content, extra, shown", [
+    (b"1\n2\nx\n", [], "line 3: 'x' is not an integer label"),
+    (b"1\n\n2\n1.5\n", [], "line 4: '1.5' is not an integer label"),
+    (b"1 2\n", [], "line 1: '1 2' is not an integer label"),
+    (b"1\n2\n3\n", [], "line 3: label 3 is outside 1..2"),
+    (b"1\n-1\n", [], "line 2: label -1 is outside 1..2"),
+    (b"", [], "0 labels for 40 samples"),
+    (b"1\n2\n", [], "2 labels for 40 samples"),
+    (b"1\n" * 41, [], "41 labels for 40 samples"),
+    # --transpose reads the 40×6 file as 6 samples
+    (b"1\n2\n" * 20, ["--transpose"], "40 labels for 6 samples"),
+    (b"1\n\xff\n", [], "'utf-8' codec can't decode byte 0xff"),
+], ids=["text", "float", "two-per-line", "above-k", "negative", "empty",
+        "short", "long", "transposed", "undecodable"])
+def test_cluster_bad_labels_exit_code(content, extra, shown, blob_csv, capsys,
+                                      tmp_path, monkeypatch):
+    # A malformed or short label file used to surface only after the whole
+    # pipeline had run, or with loadtxt's 0-based row and no file name.
+    def run_pipeline(*args, **kwargs):
+        raise AssertionError("labels must be checked before the pipeline")
+
+    monkeypatch.setattr(cli.pipeline, "run_pipeline", run_pipeline)
+    xpath, _ = blob_csv
+    ypath = tmp_path / "bad.txt"
+    ypath.write_bytes(content)
+    code, out, err = run(["cluster", "--input", xpath, "--k", "2",
+                          "--labels", str(ypath)] + extra, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {ypath}: ") and shown in err
+
+
+def test_simulate_one_shares_stages_across_methods(monkeypatch):
+    # Each generated instance is standardized, scored and embedded once for
+    # all six methods.  Only the k-means baselines embed the full-width
+    # matrix; the spectral k-means embeds its own K-1 columns.
+    cfg = acm.AcmConfig.from_dict(TINY_CONFIG)
+    calls = collections.Counter()
+
+    def counting(module, name, counts=lambda *args: True):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += counts(*args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(matrix, "standardize_columns")
+    counting(screen, "ks_scores")
+    counting(cluster, "row_space", lambda points: points.shape[1] == cfg.p)
+    null_cache = {cfg.n: build_null_table(cfg.n, 2000, seed=0)}
+    cli.simulate_one(cfg, cli.SIMULATE_METHODS, 2, 0, null_cache)
+    assert calls == {"standardize_columns": 2, "ks_scores": 2, "row_space": 2}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["cluster", "--k", "0"], 2),
+])
+def test_python_m_ifpca(argv, code):
+    # The command line runs as a module, without an installed entry point.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ifpca"] + argv,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert "usage: ifpca" in proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("exc, shown", [

@@ -10,6 +10,8 @@ from ifpca.acm import AcmConfig, DistributionSpec, generate
 from ifpca.errors import EmptySelection
 from ifpca.pipeline import (
     METHODS,
+    NORMS,
+    Instance,
     PipelineOptions,
     canonical_json,
     parse_threshold,
@@ -191,6 +193,41 @@ def test_column_permutation_equivariance(seed, null120):
     assert np.array_equal(b.labels, a.labels)
     assert b.threshold == pytest.approx(a.threshold, rel=1e-12)
     assert b.j_hat == a.j_hat
+
+
+@pytest.fixture(scope="module")
+def null40():
+    return build_null_table(40, 5000, seed=98)
+
+
+def _outcome(x, opts, truth):
+    """The timing-free report of a run, or the error it raised."""
+    try:
+        return run_pipeline(x, opts, truth=truth).to_json(include_timings=False)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=30)
+@given(options=st.lists(st.builds(
+           PipelineOptions, k=st.integers(2, 3), method=st.sampled_from(METHODS),
+           norm=st.sampled_from(NORMS),
+           threshold=st.sampled_from(["hc", "fixed:1.0", "fixed-q:0.1"]),
+           replicates=st.integers(1, 4), seed=st.integers(0, 3),
+           threads=st.sampled_from([1, 2]), drop_constant=st.booleans()),
+           min_size=1, max_size=8),
+       seed=st.integers(0, 999), wide=st.booleans(), constant=st.booleans())
+def test_shared_instance_matches_separate_runs(options, seed, wide, constant,
+                                               null40):
+    # Runs on one Instance reuse its standardized matrix, KS scores and row
+    # space; each report, or error, is the one a run on the bare array gives.
+    x, y = two_class_data(n=40, p=80 if wide else 30, n_useful=6, seed=seed)
+    if constant:
+        x[:, 3] = 1.0
+    options = [replace(o, null_table=null40) for o in options]
+    instance = Instance(x)
+    shared = [_outcome(instance, o, y) for o in options]
+    assert shared == [_outcome(x, o, y) for o in options]
 
 
 def test_run_is_deterministic(null120):
