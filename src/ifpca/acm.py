@@ -176,8 +176,6 @@ class GroundTruth:
     mu: np.ndarray              # K x p contrast means
     sigma: np.ndarray
     useful: np.ndarray          # boolean mask over features
-    kappa: np.ndarray
-    tau: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +241,13 @@ def signal_magnitude(r, p, n, h):
     return (SIGNAL_SCALE * 2.0 * r * math.log(p) / n * h) ** (1.0 / 6.0)
 
 
-def generate(config, seed, use_realized_delta=False):
+def generate(config, seed):
     """Draw one (X, truth) pair from the model.
 
     X = 1 mubar' + L [mu_1..mu_K] + Z, with labels multinomial(delta), useful
     features Bernoulli(p^-vartheta), and mu_K back-solved so the delta-weighted
-    contrast means sum to zero (prior delta by default).
+    contrast means sum to zero.  X is summed and Z scaled in place, so no
+    n×p temporary is made beyond X and Z.
     """
     n, p, k = config.n, config.p, config.k
     rng = np.random.default_rng(seed)
@@ -263,42 +262,41 @@ def generate(config, seed, use_realized_delta=False):
     h = config.g_mu.sample((k - 1, p), rng)
     mu = np.zeros((k, p))
     mu[: k - 1] = signal_magnitude(config.r, p, n, h) * signs * b
-    back_delta = delta
-    if use_realized_delta:
-        back_delta = np.bincount(y - 1, minlength=k) / n
-        if back_delta[k - 1] == 0:
-            raise InvalidConfig("realized fraction of class K is zero")
-    mu[k - 1] = -(back_delta[: k - 1] @ mu[: k - 1]) / back_delta[k - 1]
+    mu[k - 1] = -(delta[: k - 1] @ mu[: k - 1]) / delta[k - 1]
 
     noise = config.noise
+    sigma = np.ones(p)
     if noise.kind == "iid-gaussian":
         sigma = config.g_sigma.sample(p, rng)
-        z = rng.standard_normal((n, p)) * sigma
+        z = rng.standard_normal((n, p))
+        z *= sigma
     elif noise.kind == "correlated":
         sigma = config.g_sigma.sample(p, rng)
         a = correlated_noise_matrix(noise.variant, noise.d, noise.subset_size, p, rng)
-        z = (a.T @ (rng.standard_normal((n, p)) * sigma).T).T
+        z = rng.standard_normal((n, p))
+        z *= sigma
+        z = (a.T @ z.T).T
     elif noise.kind == "class-scaled":
         if len(noise.class_variances) != k:
             raise InvalidConfig("class-scaled noise needs K variances")
-        sigma = np.ones(p)
-        scale = np.sqrt(np.asarray(noise.class_variances))[y - 1]
-        z = rng.standard_normal((n, p)) * scale[:, None]
+        z = rng.standard_normal((n, p))
+        z *= np.sqrt(np.asarray(noise.class_variances))[y - 1][:, None]
     elif noise.kind == "student-t6":
-        sigma = np.ones(p)
-        z = math.sqrt(2.0 / 3.0) * rng.standard_t(6, size=(n, p))
+        z = rng.standard_t(6, size=(n, p))
+        z *= math.sqrt(2.0 / 3.0)
     elif noise.kind == "chisq6":
-        sigma = np.ones(p)
-        z = (rng.chisquare(6, size=(n, p)) - 6.0) / math.sqrt(12.0)
+        z = rng.chisquare(6, size=(n, p))
+        z -= 6.0
+        z /= math.sqrt(12.0)
     else:
         raise InvalidConfig(f"unknown noise model: {noise.kind}")
 
-    x = mubar[None, :] + mu[y - 1] + z
+    # The sum in IEEE arithmetic commutes: (mu + mubar) + z, in place.
+    x = mu[y - 1]
+    x += mubar
+    x += z
     useful = b & (np.abs(mu).max(axis=0) > 0)
-    m = mu / sigma
-    truth = GroundTruth(y=y, mubar=mubar, mu=mu, sigma=sigma, useful=useful,
-                        kappa=kappa(m, delta), tau=tau(m, delta, n))
-    return x, truth
+    return x, GroundTruth(y=y, mubar=mubar, mu=mu, sigma=sigma, useful=useful)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Clustering engines: Lloyd k-means with replicates, k-means++ seeding,
 complete-linkage agglomerative clustering, and relabeling-minimized Hamming error."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidK
+from .matrix import Gram
 
 LLOYD_MAX_ITER = 300
 
@@ -24,10 +26,11 @@ class KmeansResult:
     iterations: int
 
 
-def _sq_dists(a, b, a_sq=None):
+def _sq_dists(a, b, a_sq=None, ba=None):
     """Squared Euclidean distances between the rows of a (n×p) and of b:
     n×K for b K×p, r×n×K for a stack b r×K×p.  |a|² + |b|² − 2ab′ from one
-    matrix product; a_sq is |a|² when the caller has it.
+    matrix product; a_sq is |a|², and ba the product b a′ (for b = a, the g
+    of matrix.Gram), when the caller has them.
 
     The product is b a′, much faster than a b′ for the n×p by p×K product,
     so the distances are formed K×n and returned as a transposed view.
@@ -35,11 +38,11 @@ def _sq_dists(a, b, a_sq=None):
     within the rounding error 2(p+2)·eps·(|a|²+|b|²) of 0 are set to 0, so
     equal rows are at distance 0 and tie exactly.
     """
-    ab2 = b @ a.T
-    ab2 *= 2.0
+    ab2 = np.multiply(b @ a.T if ba is None else ba, 2.0)
     if a_sq is None:
         a_sq = np.einsum("ij,ij->i", a, a)
-    d2 = np.einsum("...j,...j->...", b, b)[..., None] + a_sq
+    b_sq = a_sq if b is a else np.einsum("...j,...j->...", b, b)
+    d2 = b_sq[..., None] + a_sq
     tol = d2 * (2 * (a.shape[1] + 2) * np.finfo(np.float64).eps)
     d2 -= ab2
     d2[d2 <= tol] = 0.0
@@ -48,8 +51,8 @@ def _sq_dists(a, b, a_sq=None):
 
 def _assign(points, x_sq, centers):
     """Nearest center of each point for each set of a r×K×d stack of centers,
-    the lowest index on ties: labels (r×n) and squared distances (r×K×n);
-    x_sq is |points|²."""
+    the lowest index on ties: labels (r×n), their squared distances (r×n)
+    and all squared distances (r×K×n); x_sq is |points|² or None."""
     d2 = np.swapaxes(_sq_dists(points, centers, x_sq), 1, 2)
     # Equal centers get the first one's row, so their ties go to the lower
     # index; the product can give equal centers distances a few ulps apart.
@@ -67,8 +70,8 @@ def _assign(points, x_sq, centers):
         np.put_along_axis(first, order, np.take_along_axis(order, start, axis=1),
                           axis=1)
         d2 = np.take_along_axis(d2, first[:, :, None], axis=1)
-    # argmax finds the first center at the least distance.
-    return (d2 == d2.min(axis=1, keepdims=True)).argmax(axis=1), d2
+    # argmin finds the first center at the least distance.
+    return d2.argmin(axis=1), d2.min(axis=1), d2
 
 
 def _label_means(points, labels, k, empty_row):
@@ -109,9 +112,7 @@ def _lloyd(points, centers, x_sq=None):
     run alone.  x_sq is |points|² when the caller has it.
     """
     k = centers.shape[1]
-    if x_sq is None:
-        x_sq = np.einsum("ij,ij->i", points, points)
-    labels, _ = _assign(points, x_sq, centers)
+    labels = _assign(points, x_sq, centers)[0]
     prev_wcss = np.full(len(centers), np.inf)
     iterations = np.zeros(len(centers), dtype=np.intp)
     live = np.arange(len(centers))
@@ -121,8 +122,8 @@ def _lloyd(points, centers, x_sq=None):
         fresh = _label_means(
             points, labels[live], k,
             lambda i, c: _sq_dists(points, stale[i, c:c + 1], x_sq)[:, 0].argmax())
-        new_labels, d2 = _assign(points, x_sq, fresh)
-        wcss = d2.min(axis=1).sum(axis=1)
+        new_labels, nearest, _ = _assign(points, x_sq, fresh)
+        wcss = nearest.sum(axis=1)
         prev = prev_wcss[live]
         assert (wcss <= prev + 1e-9 * np.maximum(1.0, np.abs(prev))).all(), \
             "Lloyd objective increased"
@@ -139,76 +140,79 @@ def _lloyd(points, centers, x_sq=None):
     return labels, centers, _residual_wcss(points, centers, labels), iterations
 
 
-def kmeanspp_seed(points, k, rng, x_sq=None):
-    """k-means++ seeding: next center drawn proportional to squared distance
-    to the nearest chosen center (uniform fallback when all distances vanish).
-    x_sq is |points|² when the caller has it."""
+def kmeanspp_seed(points, k, rngs, x_sq=None):
+    """k-means++ seeding with each generator of `rngs`, as a stack r×K×d: next
+    center drawn proportional to squared distance to the nearest chosen
+    center (uniform fallback when all distances vanish), as rng.choice(n,
+    p=d2/Σd2) draws it without its checks of p.  x_sq is |points|² when the
+    caller has it."""
     n = points.shape[0]
     if n < k:
         raise InvalidK(f"K={k} exceeds n={n}")
-    if x_sq is None:
-        x_sq = np.einsum("ij,ij->i", points, points)
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, centers[:1], x_sq)[:, 0]
+    idx = np.empty((len(rngs), k), dtype=np.intp)
+    idx[:, 0] = [rng.integers(n) for rng in rngs]
+    d2 = _sq_dists(points, points[idx[:, :1]], x_sq)[..., 0]
     for c in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            probs = d2 / total
-            centers[c] = points[rng.choice(n, p=probs)]
-        else:
-            centers[c] = points[rng.integers(n)]
-        d2 = np.minimum(d2, _sq_dists(points, centers[c:c + 1], x_sq)[:, 0])
-    return centers
+        total = d2.sum(axis=1)
+        drawn = total > 0
+        u = np.array([rng.random() if ok else rng.integers(n)
+                      for rng, ok in zip(rngs, drawn)])
+        cdf = np.cumsum(d2[drawn] / total[drawn, None], axis=1)
+        cdf /= cdf[:, -1:]
+        idx[~drawn, c] = u[~drawn]
+        idx[drawn, c] = (cdf <= u[drawn, None]).sum(axis=1)
+        d2 = np.minimum(d2, _sq_dists(points, points[idx[:, c:c + 1]], x_sq)[..., 0])
+    return points[idx]
 
 
-def _uniform_seed(points, k, rng):
-    idx = rng.choice(points.shape[0], size=k, replace=False)
-    return points[idx].copy()
+@functools.lru_cache(maxsize=32)
+def _uniform_rows(seed, n, k, first, last):
+    """Uniform seeding's rows of n for replicates [first, last) of `seed`,
+    read only; cached, as kmeans calls with one seed, n and K draw the same."""
+    rows = np.array([np.random.default_rng([seed, rep]).choice(n, size=k, replace=False)
+                     for rep in range(first, last)])
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
 class RowSpace:
-    """Points as k-means runs on them (row_space): their column mean, the
-    centered points (n×p), and `coords`, the rows Lloyd clusters, with
-    |coords|² in `sq`."""
-    mean: np.ndarray
-    centered: np.ndarray
+    """Points as k-means runs on them (row_space): the input rows `points`
+    (n×p), and `coords`, the rows Lloyd clusters, with |coords|² in `sq`."""
+    points: np.ndarray
     coords: np.ndarray
     sq: np.ndarray
 
 
 def row_space(points):
-    """RowSpace of float64 n×p `points`.  The coordinates are the centered
-    points, or for p > n the rows of Y = Q·sqrt(Λ), from eigh of the Gram
-    matrix QΛQ′ of the distinct centered rows: n points in m ≤ n dimensions
-    (m distinct rows) with the same pairwise distances, and the same
-    distances to any mean of them (classical MDS, Torgerson 1952).
+    """RowSpace of float64 n×p `points`, or of a matrix.Gram of points whose
+    columns are centered.  The coordinates are the centered points, or for
+    p > n the rows of Y = Q·sqrt(Λ), from eigh of the Gram matrix QΛQ′ of
+    the distinct centered rows: n points in m ≤ n dimensions (m distinct
+    rows) with the same pairwise distances, and the same distances to any
+    mean of them (classical MDS, Torgerson 1952).
 
-    Equal rows get bit-equal rows of Y, so exact ties stay exact.  Rows are
-    matched by the hash of their bytes, confirmed by comparison.  The
+    Equal rows get bit-equal rows of Y, so exact ties stay exact.  Rows at
+    distance 0 in the Gram matrix (_sq_dists' tolerance band) are compared;
+    when every row is distinct, Q and Λ are the Gram's own eigh.  The
     eigensolver is numpy's, for the reason in truncated_left_svd.
     """
-    mean = points.mean(axis=0)
-    centered = coords = points - mean
-    if centered.shape[1] > centered.shape[0]:
-        buckets, distinct = {}, []
-        inverse = np.empty(centered.shape[0], dtype=np.intp)
-        for i, row in enumerate(centered):
-            bucket = buckets.setdefault(hash(row.tobytes()), [])
-            for j in bucket:
-                if np.array_equal(centered[distinct[j]], row):
-                    break
-            else:
-                j = len(distinct)
-                bucket.append(j)
-                distinct.append(i)
-            inverse[i] = j
-        gram = centered @ centered.T
-        lam, q = np.linalg.eigh(gram[np.ix_(distinct, distinct)])
-        q *= np.sqrt(np.clip(lam, 0.0, None))
-        coords = q[inverse]
-    return RowSpace(mean, centered, coords, np.einsum("ij,ij->i", coords, coords))
+    points, gram = (points.rows, points) if isinstance(points, Gram) else (points, None)
+    if gram is None:
+        centered = points - points.mean(axis=0)
+        if centered.shape[1] <= centered.shape[0]:
+            return RowSpace(points, centered, np.einsum("ij,ij->i", centered, centered))
+        gram = Gram(centered)
+    first = np.arange(len(points))      # the lowest index of each row's equal rows
+    d2 = _sq_dists(gram.rows, gram.rows, gram.sq, gram.g)
+    for i, j in zip(*np.nonzero(np.triu(d2 == 0, 1))):
+        if first[i] == i and first[j] == j and np.array_equal(gram.rows[i], gram.rows[j]):
+            first[j] = i
+    distinct = first == np.arange(len(points))
+    lam, q = gram.eigh if distinct.all() else \
+        np.linalg.eigh(gram.g[np.ix_(distinct, distinct)])
+    coords = (q * np.sqrt(np.clip(lam, 0.0, None)))[(np.cumsum(distinct) - 1)[first]]
+    return RowSpace(points, coords, np.einsum("ij,ij->i", coords, coords))
 
 
 def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
@@ -224,11 +228,11 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     iterations are those of Lloyd on the full width.  The WCSS is the row
     space's, within 1e-13 of the total sum of squares of the full-width
     value; centers are per-label means of the input rows, within 1e-13 of
-    the largest input entry.  `points` may be given as row_space(points),
-    which a caller clustering the same points more than once forms once.
+    the largest input entry.  A caller clustering points more than once may
+    pass row_space(points), or row_space(matrix.Gram(points)) if centered.
     """
     space = points if isinstance(points, RowSpace) else None
-    points = np.asarray(points, dtype=np.float64) if space is None else space.centered
+    points = np.asarray(points, dtype=np.float64) if space is None else space.points
     if points.ndim == 1:
         points = points[:, None]
     n = points.shape[0]
@@ -249,27 +253,25 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     group = max(1, GROUP_CELLS // (n * k))
     best = None
     for first in range(0, replicates, group):
-        rngs = [np.random.default_rng([seed, rep])
-                for rep in range(first, min(first + group, replicates))]
+        last = min(first + group, replicates)
         if init == "plusplus":
-            seeds = np.stack([kmeanspp_seed(coords, k, rng, space.sq) for rng in rngs])
+            seeds = kmeanspp_seed(coords, k, [np.random.default_rng([seed, rep])
+                                              for rep in range(first, last)], space.sq)
         else:
-            seeds = np.stack([_uniform_seed(coords, k, rng) for rng in rngs])
+            seeds = coords[_uniform_rows(seed, n, k, first, last)]
         labels, centers, wcss, iters = _lloyd(coords, seeds, space.sq)
         # argmin and the strict < keep the first of equal WCSS, so ties go to
         # the lowest replicate id.
         i = int(wcss.argmin())
         if best is None or wcss[i] < best[2]:
             best = labels[i], centers[i], float(wcss[i]), first + i, int(iters[i])
-    labels, centers, wcss, best_rep, iters = best
-    if points.shape[1] > n:
-        # A cluster empty at the end keeps the row it was reseeded at, the
-        # row of the embedding at distance 0 from its center.
-        space_centers = centers
-        centers = _label_means(
-            space.centered, labels[None], k,
-            lambda _, c: ((coords - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
-    return KmeansResult(labels=labels + 1, centers=centers + space.mean, wcss=wcss,
+    labels, space_centers, wcss, best_rep, iters = best
+    # A cluster empty at the end keeps the row it was reseeded at, the row of
+    # the coordinates at distance 0 from its center.
+    centers = _label_means(
+        points, labels[None], k,
+        lambda _, c: ((coords - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
+    return KmeansResult(labels=labels + 1, centers=centers, wcss=wcss,
                         replicate_id=best_rep, iterations=iters)
 
 
@@ -280,17 +282,18 @@ def hierarchical_complete(points, k):
     keeps memory at O(np + n²).  Each cluster lives at the row of its
     smallest member, and rows merged away are set to inf, so a row-major
     argmin merges the lexicographically smallest (i, j) pair on ties.
-    Labels number the clusters by smallest member.
+    Labels number the clusters by smallest member.  `points` may be given as
+    matrix.Gram(points), whose product and norms give the distances.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
+    if not isinstance(points, Gram):
+        points = np.asarray(points, dtype=np.float64)
+        points = Gram(points[:, None] if points.ndim == 1 else points)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InvalidK(f"K={k} must lie in [1, n={n}]")
 
     # Exactly symmetric: its transpose is the same matrix, in C order.
-    d = _sq_dists(points, points).T
+    d = _sq_dists(points.rows, points.rows, points.sq, points.g).T
     np.fill_diagonal(d, np.inf)
     owner = np.arange(n)
     for _ in range(n - k):

@@ -13,7 +13,6 @@ class HcResult:
     eligible: np.ndarray        # boolean mask over ranks
     j_hat: int                  # selected rank (1-based)
     t_hc: float                 # j_hat-th largest score
-    sorted_pvalues: np.ndarray
 
 
 def hc_threshold(pvals, scores, n, allow_fallback=False):
@@ -48,5 +47,4 @@ def hc_threshold(pvals, scores, n, allow_fallback=False):
     cand = np.flatnonzero(pool)
     j_hat = int(cand[np.argmax(hc[cand])]) + 1  # argmax returns first max: smallest j
     t_hc = float(np.sort(scores)[::-1][j_hat - 1])
-    return HcResult(hc_curve=hc, eligible=eligible, j_hat=j_hat, t_hc=t_hc,
-                    sorted_pvalues=pi)
+    return HcResult(hc_curve=hc, eligible=eligible, j_hat=j_hat, t_hc=t_hc)

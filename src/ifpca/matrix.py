@@ -1,5 +1,6 @@
-"""Dense matrix primitives: column standardization, truncated left SVD, entrywise clipping."""
+"""Dense matrix primitives: column standardization, Gram matrix, truncated left SVD, clipping."""
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -41,16 +42,13 @@ class SpectralEmbedding:
     u: np.ndarray
     singular_values: np.ndarray
 
-    @property
-    def n(self):
-        return self.u.shape[0]
 
-    @property
-    def k(self):
-        return self.u.shape[1]
+def standardize_columns(x, drop_constant=False):
+    """Center each column and scale to unit sample SD (n-1 denominator).
 
-
-def validate_data_matrix(x):
+    Constant columns raise ZeroVarianceColumn unless drop_constant is set, in
+    which case they are removed and the surviving index map is recorded.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("data matrix must be 2-dimensional")
@@ -60,16 +58,6 @@ def validate_data_matrix(x):
         raise ValueError("need at least 1 feature (column)")
     if not np.all(np.isfinite(x)):
         raise ValueError("data matrix contains non-finite entries")
-    return x
-
-
-def standardize_columns(x, drop_constant=False):
-    """Center each column and scale to unit sample SD (n-1 denominator).
-
-    Constant columns raise ZeroVarianceColumn unless drop_constant is set, in
-    which case they are removed and the surviving index map is recorded.
-    """
-    x = validate_data_matrix(x)
     mean = x.mean(axis=0)
     # np.std's temporary is freed before the centered copy is made, so the
     # peak is the input and one copy.
@@ -89,6 +77,21 @@ def standardize_columns(x, drop_constant=False):
                               kept_columns=keep)
 
 
+class Gram:
+    """g = W·W′ of a float64 n×p matrix W, its row norms `sq` and, formed on
+    first use, eigh(g): what truncated_left_svd, cluster.row_space and
+    cluster.hierarchical_complete take from W when given this in its place."""
+
+    def __init__(self, rows):
+        self.rows, self.shape = rows, rows.shape
+        self.g = rows @ rows.T
+        self.sq = np.einsum("ij,ij->i", rows, rows)
+
+    @functools.cached_property
+    def eigh(self):
+        return np.linalg.eigh(self.g)
+
+
 def _fix_signs(u):
     # Largest-magnitude entry of each column made positive; ties to lowest row.
     idx = np.argmax(np.abs(u), axis=0)
@@ -102,25 +105,25 @@ def truncated_left_svd(a, k):
 
     One symmetric eigensolver call on the smaller Gram matrix (a a' when
     n <= p, else a' a, of order m) gives its top min(k+1, m) eigenpairs; on
-    the tall side u = a v / sigma, re-orthonormalized.  Warns
-    DegenerateGapWarning when the k-th and (k+1)-th singular values are
-    closer than GAP_TOL * sigma_1.
+    the tall side u = a v / sigma, re-orthonormalized.  Given Gram(a) in
+    place of a, its eigh of a a' is used.  Warns DegenerateGapWarning when
+    the k-th and (k+1)-th singular values are closer than GAP_TOL * sigma_1.
 
     The solver is numpy's, as in cluster.row_space: numpy and scipy each
     load their own OpenBLAS, and each keeps worker threads spinning for a
     while after a call, so calling both in one pipeline can leave more busy
     threads than cores and slow the interpreter thread.
     """
-    a = np.asarray(a, dtype=np.float64)
+    gram = a if isinstance(a, Gram) else None
+    a = np.asarray(a if gram is None else a.rows, dtype=np.float64)
     n, p = a.shape
     if not 1 <= k <= min(n, p):
         raise ValueError(f"k={k} must lie in [1, min(n, p)={min(n, p)}]")
 
-    left_side = n <= p
-    g = a @ a.T if left_side else a.T @ a
-    m = g.shape[0]
-    kb = min(k + 1, m)
-    evals, vecs = np.linalg.eigh(g)
+    left_side = gram is not None or n <= p
+    evals, vecs = gram.eigh if gram is not None else np.linalg.eigh(
+        a @ a.T if left_side else a.T @ a)
+    kb = min(k + 1, len(evals))
     eigs, q = evals[::-1][:kb], vecs[:, ::-1][:, :kb]
 
     sigma = np.sqrt(np.clip(eigs, 0.0, None))

@@ -121,9 +121,9 @@ def _get_null_table(opts, n, p):
 
 class Instance:
     """A data matrix and the stages every method derives from it alike: its
-    standardized matrix, that matrix's raw KS scores and its k-means row
-    space.  Each is formed, and timed, by the first run_pipeline call on the
-    instance that needs it, once per drop_constant setting."""
+    standardized matrix W, W's raw KS scores, for p > n W's matrix.Gram, and
+    W's k-means row space.  Each is formed, and timed, by the first call on
+    the instance that needs it, once per drop_constant setting."""
 
     def __init__(self, x):
         self.x = x
@@ -169,9 +169,9 @@ def _select(inst, w, opts, timings):
 
 
 def _cluster(data, clusterer, opts, p, timings):
-    """Labels of the rows of `data` (a cluster.RowSpace for k-means on the
-    standardized matrix); `p` is the standardized width, which sets the
-    spectral embedding's truncation level log(p)/sqrt(n)."""
+    """Labels of the rows of `data` (a matrix.Gram, or a cluster.RowSpace for
+    k-means, on the standardized matrix); `p` is the standardized width,
+    which sets the spectral embedding's truncation level log(p)/sqrt(n)."""
     init = clusterer
     if clusterer == "spectral":
         t0 = time.perf_counter()
@@ -211,9 +211,11 @@ def run_pipeline(x, opts, truth=None):
         # slice(None) takes every column as a view, without a copy.
         cols, threshold, j_hat = slice(None), -math.inf, None
         data = w.values
+        if w.p > w.n:
+            data = inst._stage("gram", opts, timings, lambda: matrix.Gram(w.values))
         if clusterer in ("uniform-sample", "plusplus"):
             data = inst._stage("row_space", opts, timings,
-                               lambda: cluster.row_space(w.values))
+                               lambda data=data: cluster.row_space(data))
     labels = _cluster(data, clusterer, opts, w.p, timings)
 
     err = None

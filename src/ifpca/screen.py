@@ -25,11 +25,10 @@ _NULL_BUFFER_CELLS = 150_000
 
 @dataclass(frozen=True)
 class KsScores:
-    """Per-feature KS scores with the normalization applied ('none' = raw)."""
+    """Per-feature KS scores, raw or normalized (normalize_scores)."""
 
     scores: np.ndarray
     n: int
-    normalization: str = "none"
 
     @property
     def p(self):
@@ -51,10 +50,9 @@ class NullTable:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Selected feature indices (1-based, sorted) and the threshold that produced them."""
+    """Selected feature indices (1-based, sorted)."""
 
     indices: np.ndarray
-    threshold: float
 
     @property
     def size(self):
@@ -205,7 +203,7 @@ def normalize_scores(ks, mode, null=None):
     else:
         center, scale = _center_scale(s, mode, "KS scores")
         out = (s - center) / scale
-    return KsScores(scores=out, n=ks.n, normalization=mode)
+    return KsScores(scores=out, n=ks.n)
 
 
 def null_reference_values(null, mode):
@@ -239,15 +237,11 @@ def select_features(ks, t):
     idx = np.flatnonzero(ks.scores >= t) + 1
     if idx.size == 0:
         raise EmptySelection(f"no score reaches threshold {t}")
-    return FeatureSet(indices=idx, threshold=float(t))
+    return FeatureSet(indices=idx)
 
 
 # ---------------------------------------------------------------------------
 # NullTable serialization: text (.txt or anything non-.bin) and binary (.bin).
-
-def _null_header(table, reps):
-    return f"ifpca-null v1, n={table.n}, N={reps}, seed={table.seed}"
-
 
 def _parse_null_header(line):
     m = re.fullmatch(r"ifpca-null v1, n=(\d+), N=(\d+), seed=(-?\d+)", line)
@@ -260,7 +254,7 @@ def _parse_null_header(line):
 
 def save_null_table(table, path):
     path = str(path)
-    header = _null_header(table, table.size)
+    header = f"ifpca-null v1, n={table.n}, N={table.size}, seed={table.seed}"
     if path.endswith(".bin"):
         with open(path, "wb") as f:
             f.write((header + "\n").encode("ascii"))

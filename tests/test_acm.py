@@ -90,14 +90,6 @@ def test_generate_contrast_means_sum_to_zero():
     assert np.abs(weighted).max() <= 1e-12
 
 
-def test_generate_realized_delta_option():
-    cfg = small_config()
-    x, truth = generate(cfg, seed=2, use_realized_delta=True)
-    counts = np.bincount(truth.y - 1, minlength=2) / cfg.n
-    weighted = counts @ truth.mu
-    assert np.abs(weighted).max() <= 1e-12
-
-
 def test_generate_symmetric_two_class_is_antisymmetric():
     cfg = small_config(delta=(0.5, 0.5))
     _, truth = generate(cfg, seed=3)
@@ -158,6 +150,55 @@ def test_class_scaled_noise_variances():
     v2 = z[truth.y == 2].var()
     assert abs(v1 - 0.5) < 0.1
     assert abs(v2 - 2.0) < 0.3
+
+
+class _RecordingRng:
+    """A numpy Generator that keeps a copy of each standard normal, t or
+    chi-square draw it makes."""
+
+    def __init__(self, rng):
+        self._rng, self.noise = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            out = method(*args, **kwargs)
+            if name in ("standard_normal", "standard_t", "chisquare"):
+                self.noise.append(np.array(out))
+            return out
+        return call
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseModel(),
+    NoiseModel(kind="correlated", variant="band", d=0.1),
+    NoiseModel(kind="class-scaled", class_variances=(0.5, 2.0)),
+    NoiseModel(kind="student-t6"),
+    NoiseModel(kind="chisq6"),
+])
+def test_generate_in_place_sum_matches_expression(monkeypatch, noise):
+    # X is summed and the noise scaled in place; the values are those of the
+    # expressions 1 mubar' + mu[y] + Z with Z scaled out of place.
+    cfg = small_config(p=300, noise=noise,
+                       g_sigma=DistributionSpec("uniform", (1.1, 0.1)))
+    real, drawn = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: drawn.append(_RecordingRng(real(seed))) or drawn[-1])
+    x, truth = generate(cfg, seed=17)
+    raw = drawn[0].noise[-1]           # the n×p draw comes last
+    if noise.kind == "iid-gaussian":
+        z = raw * truth.sigma
+    elif noise.kind == "correlated":
+        a = correlated_noise_matrix("band", noise.d, 0, cfg.p, None)
+        z = (a.T @ (raw * truth.sigma).T).T
+    elif noise.kind == "class-scaled":
+        z = raw * np.sqrt(np.asarray(noise.class_variances))[truth.y - 1][:, None]
+    elif noise.kind == "student-t6":
+        z = math.sqrt(2.0 / 3.0) * raw
+    else:
+        z = (raw - 6.0) / math.sqrt(12.0)
+    assert np.array_equal(x, truth.mubar[None, :] + truth.mu[truth.y - 1] + z)
 
 
 def test_class_scaled_noise_requires_k_variances():

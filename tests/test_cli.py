@@ -426,26 +426,37 @@ def test_cluster_bad_labels_exit_code(content, extra, shown, blob_csv, capsys,
 
 
 def test_simulate_one_shares_stages_across_methods(monkeypatch):
-    # Each generated instance is standardized, scored and embedded once for
-    # all six methods.  Only the k-means baselines embed the full-width
-    # matrix; the spectral k-means embeds its own K-1 columns.
+    # Each generated instance is standardized, scored, multiplied out into
+    # its Gram matrix (with one eigh of it) and embedded once for all six
+    # methods.  No full-width bare array reaches the SVD, the row space or
+    # complete linkage; the spectral k-means embeds its own K-1 columns.
     cfg = acm.AcmConfig.from_dict(TINY_CONFIG)
     calls = collections.Counter()
+    grams = []
 
-    def counting(module, name, counts=lambda *args: True):
-        fn = getattr(module, name)
+    def counting(owner, name, counts=lambda *args: True):
+        fn = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += counts(*args)
             return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+
+    def full_width(points, *args):
+        return isinstance(points, np.ndarray) and points.shape[1] == cfg.p
 
     counting(matrix, "standardize_columns")
     counting(screen, "ks_scores")
-    counting(cluster, "row_space", lambda points: points.shape[1] == cfg.p)
+    counting(matrix.Gram, "__init__", lambda gram, rows: grams.append(gram) or True)
+    counting(np.linalg, "eigh", lambda a: any(a is gram.g for gram in grams))
+    for owner, name in ((matrix, "truncated_left_svd"), (cluster, "row_space"),
+                        (cluster, "hierarchical_complete")):
+        counting(owner, name, full_width)
     null_cache = {cfg.n: build_null_table(cfg.n, 2000, seed=0)}
     cli.simulate_one(cfg, cli.SIMULATE_METHODS, 2, 0, null_cache)
-    assert calls == {"standardize_columns": 2, "ks_scores": 2, "row_space": 2}
+    assert cfg.p > cfg.n
+    assert +calls == {"standardize_columns": 2, "ks_scores": 2, "__init__": 2,
+                      "eigh": 2}
 
 
 @pytest.mark.parametrize("argv, code", [

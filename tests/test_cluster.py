@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ifpca import cluster
-from ifpca.cluster import (LLOYD_MAX_ITER, _sq_dists, _uniform_seed,
-                           hamming_error, hierarchical_complete, kmeans,
-                           kmeanspp_seed)
+from ifpca.cluster import (LLOYD_MAX_ITER, _sq_dists, hamming_error,
+                           hierarchical_complete, kmeans, kmeanspp_seed)
 from ifpca.errors import InvalidK
+from ifpca.matrix import Gram
 
 
 # Oracle: Lloyd one replicate at a time, as kmeans ran it before replicates
@@ -38,6 +38,10 @@ def _label_means(points, labels, centers, empty_row):
         mask = labels == c
         centers[c] = points[mask].mean(axis=0) if mask.any() else points[empty_row(c)]
     return centers
+
+
+def _uniform_seed(points, k, rng):
+    return points[rng.choice(points.shape[0], size=k, replace=False)]
 
 
 def _lloyd(points, centers):
@@ -158,7 +162,7 @@ def test_kmeans_winner_beats_single_replicates():
 def test_kmeanspp_k1_uniform():
     pts = np.arange(10.0)[:, None]
     rng = np.random.default_rng(0)
-    c = kmeanspp_seed(pts, 1, rng)
+    c = kmeanspp_seed(pts, 1, [rng])[0]
     assert c.shape == (1, 1)
     assert c[0, 0] in pts
 
@@ -166,15 +170,60 @@ def test_kmeanspp_k1_uniform():
 def test_kmeanspp_duplicates_no_crash():
     pts = np.ones((8, 2))
     rng = np.random.default_rng(1)
-    c = kmeanspp_seed(pts, 3, rng)
+    c = kmeanspp_seed(pts, 3, [rng])[0]
     np.testing.assert_allclose(c, 1.0)
 
 
 def test_kmeanspp_far_point_certain():
     pts = np.array([[0.0], [100.0]])
     for seed in range(20):
-        c = kmeanspp_seed(pts, 2, np.random.default_rng(seed))
+        c = kmeanspp_seed(pts, 2, [np.random.default_rng(seed)])[0]
         assert sorted(c[:, 0]) == [0.0, 100.0]
+
+
+def kmeanspp_oracle(points, k, rng):
+    """k-means++ seeding of one replicate, each center drawn by rng.choice
+    (as kmeanspp_seed drew them before replicates were seeded together)."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = _sq_dists(points, centers[:1])[:, 0]
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            centers[c] = points[rng.choice(n, p=d2 / total)]
+        else:
+            centers[c] = points[rng.integers(n)]
+        d2 = np.minimum(d2, _sq_dists(points, centers[c:c + 1])[:, 0])
+    return centers
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 80),
+       st.integers(1, 40), st.integers(1, 8), st.integers(1, 12))
+def test_plusplus_seeds_are_choice_draws(seed, n, p, distinct, k, reps):
+    # Replicates seeded together draw the centers rng.choice draws, bit for
+    # bit, also when every distance vanishes and the draw falls back to
+    # uniform.
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((min(distinct, n), p))[
+        rng.integers(0, min(distinct, n), size=n)]
+    k = min(k, n)
+    got = kmeanspp_seed(points, k, [np.random.default_rng([seed, r])
+                                    for r in range(reps)])
+    want = [kmeanspp_oracle(points, k, np.random.default_rng([seed, r]))
+            for r in range(reps)]
+    assert np.array_equal(got, np.stack(want))
+
+
+def test_uniform_rows_are_each_replicates_draw():
+    # Drawn once per (seed, n, K, replicates) and shared read-only by every
+    # kmeans call that asks again.
+    rows = cluster._uniform_rows(7, 50, 4, 3, 9)
+    assert rows is cluster._uniform_rows(7, 50, 4, 3, 9)
+    assert not rows.flags.writeable
+    for i, rep in enumerate(range(3, 9)):
+        want = np.random.default_rng([7, rep]).choice(50, size=4, replace=False)
+        assert np.array_equal(rows[i], want)
 
 
 def test_hier_nearest_pair_first():
@@ -233,6 +282,18 @@ def test_hier_matches_literal_oracle_on_repeated_rows():
         k = int(rng.integers(1, len(pts) + 1))
         assert hierarchical_complete(pts, k).tolist() == \
             complete_linkage_oracle(pts, k)
+
+
+def test_gram_distances_are_the_product_distances():
+    # hier and the row space take the distances from a matrix.Gram's product
+    # and einsum row norms, bit for bit those of _sq_dists on the points
+    # (b a distinct view of a: its norms and the product formed anew).
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        base = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 300))))
+        w = base[rng.integers(0, len(base), size=int(rng.integers(2, 30)))]
+        gram = Gram(w)
+        assert np.array_equal(_sq_dists(w, w, gram.sq, gram.g), _sq_dists(w, w[:]))
 
 
 @st.composite
@@ -297,7 +358,7 @@ def test_assign_equal_centers_tie_to_lower_index():
         points = rows[rng.integers(0, k, size=n)]
         centers = rows.copy()
         centers[k - 1] = centers[0]
-        labels, d2 = cluster._assign(
+        labels, _, d2 = cluster._assign(
             points, np.einsum("ij,ij->i", points, points), centers[None])
         labels, d2 = labels[0], d2[0].T
         assert np.array_equal(d2[:, k - 1], d2[:, 0])
@@ -324,7 +385,7 @@ def full_width_kmeans(points, k, replicates, seed, init):
     iterations) in kmeans' conventions."""
     mean = points.mean(axis=0)
     centered = points - mean
-    seeder = kmeanspp_seed if init == "plusplus" else _uniform_seed
+    seeder = kmeanspp_oracle if init == "plusplus" else _uniform_seed
     best = None
     for rep in range(replicates):
         rng = np.random.default_rng([seed, rep])

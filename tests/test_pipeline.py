@@ -17,8 +17,9 @@ from ifpca.pipeline import (
     parse_threshold,
     run_pipeline,
 )
+from ifpca.cluster import hierarchical_complete, row_space
 from ifpca.screen import build_null_table, ks_scores, select_features
-from ifpca.matrix import standardize_columns
+from ifpca.matrix import Gram, standardize_columns, truncated_left_svd
 
 
 def two_class_data(n=120, p=60, n_useful=12, shift=4.5, seed=0):
@@ -228,6 +229,37 @@ def test_shared_instance_matches_separate_runs(options, seed, wide, constant,
     instance = Instance(x)
     shared = [_outcome(instance, o, y) for o in options]
     assert shared == [_outcome(x, o, y) for o in options]
+
+
+# Repeated rows can leave the K-th and (K+1)-th singular values equal.
+@pytest.mark.filterwarnings("ignore::ifpca.errors.DegenerateGapWarning")
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 24),
+       extra=st.integers(1, 60), distinct=st.integers(2, 24), k=st.integers(1, 4))
+def test_gram_stage_matches_bare_array(seed, n, extra, distinct, k):
+    # Wide matrices with repeated rows.  pca, the k-means baselines and hier
+    # share one Gram stage and its eigh on an Instance; each report is the
+    # one a run on the bare array gives.  Given the Gram stage in place of
+    # the standardized matrix, complete linkage and the SVD are exactly those
+    # of the matrix, and equal rows get bit-equal row-space coordinates.
+    rng = np.random.default_rng(seed)
+    distinct = min(distinct, n)
+    rows = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)])
+    x = rng.standard_normal((distinct, n + extra))[rng.permutation(rows)]
+    instance = Instance(x)
+    for method in ("pca", "kmeans", "kmeanspp", "hier"):
+        opts = PipelineOptions(k=k, method=method, replicates=3, seed=seed % 5)
+        assert _outcome(instance, opts, None) == _outcome(x, opts, None)
+
+    w = standardize_columns(x).values
+    gram = Gram(w)
+    assert np.array_equal(hierarchical_complete(gram, k), hierarchical_complete(w, k))
+    a, b = truncated_left_svd(gram, k), truncated_left_svd(w, k)
+    assert np.array_equal(a.u, b.u)
+    assert np.array_equal(a.singular_values, b.singular_values)
+    coords = row_space(gram).coords
+    equal = (w[:, None] == w[None]).all(axis=2)
+    assert ((coords[:, None] == coords[None]).all(axis=2) == equal).all()
 
 
 def test_run_is_deterministic(null120):
