@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidK
-from .matrix import Gram
+from .matrix import Gram, sq_dists
 
 LLOYD_MAX_ITER = 300
 
@@ -26,34 +26,11 @@ class KmeansResult:
     iterations: int
 
 
-def _sq_dists(a, b, a_sq=None, ba=None):
-    """Squared Euclidean distances between the rows of a (n×p) and of b:
-    n×K for b K×p, r×n×K for a stack b r×K×p.  |a|² + |b|² − 2ab′ from one
-    matrix product; a_sq is |a|², and ba the product b a′ (for b = a, the g
-    of matrix.Gram), when the caller has them.
-
-    The product is b a′, much faster than a b′ for the n×p by p×K product,
-    so the distances are formed K×n and returned as a transposed view.
-    Adding the norms first keeps _sq_dists(a, a) exactly symmetric.  Values
-    within the rounding error 2(p+2)·eps·(|a|²+|b|²) of 0 are set to 0, so
-    equal rows are at distance 0 and tie exactly.
-    """
-    ab2 = np.multiply(b @ a.T if ba is None else ba, 2.0)
-    if a_sq is None:
-        a_sq = np.einsum("ij,ij->i", a, a)
-    b_sq = a_sq if b is a else np.einsum("...j,...j->...", b, b)
-    d2 = b_sq[..., None] + a_sq
-    tol = d2 * (2 * (a.shape[1] + 2) * np.finfo(np.float64).eps)
-    d2 -= ab2
-    d2[d2 <= tol] = 0.0
-    return np.swapaxes(d2, -1, -2)
-
-
 def _assign(points, x_sq, centers):
     """Nearest center of each point for each set of a r×K×d stack of centers,
     the lowest index on ties: labels (r×n), their squared distances (r×n)
     and all squared distances (r×K×n); x_sq is |points|² or None."""
-    d2 = np.swapaxes(_sq_dists(points, centers, x_sq), 1, 2)
+    d2 = np.swapaxes(sq_dists(points, centers, x_sq), 1, 2)
     # Equal centers get the first one's row, so their ties go to the lower
     # index; the product can give equal centers distances a few ulps apart.
     # Equal centers are found by a stable sort of their bytes.
@@ -121,7 +98,7 @@ def _lloyd(points, centers, x_sq=None):
         # An empty cluster is reseeded at the point farthest from its stale center.
         fresh = _label_means(
             points, labels[live], k,
-            lambda i, c: _sq_dists(points, stale[i, c:c + 1], x_sq)[:, 0].argmax())
+            lambda i, c: sq_dists(points, stale[i, c:c + 1], x_sq)[:, 0].argmax())
         new_labels, nearest, _ = _assign(points, x_sq, fresh)
         wcss = nearest.sum(axis=1)
         prev = prev_wcss[live]
@@ -151,7 +128,7 @@ def kmeanspp_seed(points, k, rngs, x_sq=None):
         raise InvalidK(f"K={k} exceeds n={n}")
     idx = np.empty((len(rngs), k), dtype=np.intp)
     idx[:, 0] = [rng.integers(n) for rng in rngs]
-    d2 = _sq_dists(points, points[idx[:, :1]], x_sq)[..., 0]
+    d2 = sq_dists(points, points[idx[:, :1]], x_sq)[..., 0]
     for c in range(1, k):
         total = d2.sum(axis=1)
         drawn = total > 0
@@ -161,7 +138,7 @@ def kmeanspp_seed(points, k, rngs, x_sq=None):
         cdf /= cdf[:, -1:]
         idx[~drawn, c] = u[~drawn]
         idx[drawn, c] = (cdf <= u[drawn, None]).sum(axis=1)
-        d2 = np.minimum(d2, _sq_dists(points, points[idx[:, c:c + 1]], x_sq)[..., 0])
+        d2 = np.minimum(d2, sq_dists(points, points[idx[:, c:c + 1]], x_sq)[..., 0])
     return points[idx]
 
 
@@ -175,46 +152,6 @@ def _uniform_rows(seed, n, k, first, last):
     return rows
 
 
-@dataclass(frozen=True)
-class RowSpace:
-    """Points as k-means runs on them (row_space): the input rows `points`
-    (n×p), and `coords`, the rows Lloyd clusters, with |coords|² in `sq`."""
-    points: np.ndarray
-    coords: np.ndarray
-    sq: np.ndarray
-
-
-def row_space(points):
-    """RowSpace of float64 n×p `points`, or of a matrix.Gram of points whose
-    columns are centered.  The coordinates are the centered points, or for
-    p > n the rows of Y = Q·sqrt(Λ), from eigh of the Gram matrix QΛQ′ of
-    the distinct centered rows: n points in m ≤ n dimensions (m distinct
-    rows) with the same pairwise distances, and the same distances to any
-    mean of them (classical MDS, Torgerson 1952).
-
-    Equal rows get bit-equal rows of Y, so exact ties stay exact.  Rows at
-    distance 0 in the Gram matrix (_sq_dists' tolerance band) are compared;
-    when every row is distinct, Q and Λ are the Gram's own eigh.  The
-    eigensolver is numpy's, for the reason in truncated_left_svd.
-    """
-    points, gram = (points.rows, points) if isinstance(points, Gram) else (points, None)
-    if gram is None:
-        centered = points - points.mean(axis=0)
-        if centered.shape[1] <= centered.shape[0]:
-            return RowSpace(points, centered, np.einsum("ij,ij->i", centered, centered))
-        gram = Gram(centered)
-    first = np.arange(len(points))      # the lowest index of each row's equal rows
-    d2 = _sq_dists(gram.rows, gram.rows, gram.sq, gram.g)
-    for i, j in zip(*np.nonzero(np.triu(d2 == 0, 1))):
-        if first[i] == i and first[j] == j and np.array_equal(gram.rows[i], gram.rows[j]):
-            first[j] = i
-    distinct = first == np.arange(len(points))
-    lam, q = gram.eigh if distinct.all() else \
-        np.linalg.eigh(gram.g[np.ix_(distinct, distinct)])
-    coords = (q * np.sqrt(np.clip(lam, 0.0, None)))[(np.cumsum(distinct) - 1)[first]]
-    return RowSpace(points, coords, np.einsum("ij,ij->i", coords, coords))
-
-
 def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     """Lloyd k-means, best of `replicates` runs by within-cluster sum of squares.
 
@@ -223,16 +160,16 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     Lloyd together, in groups of at most GROUP_CELLS n×K cells (_lloyd).
 
     Points wider than tall (p > n) are clustered on their n-dimensional row
-    space (row_space), where a Lloyd step costs O(n²) instead of O(np).  The
-    distances are the same up to rounding, so labels, replicate id and
-    iterations are those of Lloyd on the full width.  The WCSS is the row
-    space's, within 1e-13 of the total sum of squares of the full-width
+    space (matrix.Gram.row_space), where a Lloyd step costs O(n²) instead of
+    O(np).  The distances are the same up to rounding, so labels, replicate
+    id and iterations are those of Lloyd on the full width.  The WCSS is the
+    row space's, within 1e-13 of the total sum of squares of the full-width
     value; centers are per-label means of the input rows, within 1e-13 of
-    the largest input entry.  A caller clustering points more than once may
-    pass row_space(points), or row_space(matrix.Gram(points)) if centered.
+    the largest input entry.  Points whose columns are centered may be given
+    as matrix.Gram(points), whose row space is then formed once for all calls.
     """
-    space = points if isinstance(points, RowSpace) else None
-    points = np.asarray(points, dtype=np.float64) if space is None else space.points
+    gram = points if isinstance(points, Gram) else None
+    points = np.asarray(points, dtype=np.float64) if gram is None else gram.rows
     if points.ndim == 1:
         points = points[:, None]
     n = points.shape[0]
@@ -246,9 +183,14 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
         raise ValueError(f"unknown init: {init}")
     # Lloyd runs on centered points: |x|² + |c|² − 2x·c loses the distances
     # to cancellation when the data sit far from the origin.
-    if space is None:
-        space = row_space(points)
-    coords = space.coords
+    if gram is None:
+        coords = points - points.mean(axis=0)
+        if coords.shape[1] > n:
+            gram = Gram(coords)
+        else:
+            sq = np.einsum("ij,ij->i", coords, coords)
+    if gram is not None:
+        coords, sq = gram.row_space
 
     group = max(1, GROUP_CELLS // (n * k))
     best = None
@@ -256,10 +198,10 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
         last = min(first + group, replicates)
         if init == "plusplus":
             seeds = kmeanspp_seed(coords, k, [np.random.default_rng([seed, rep])
-                                              for rep in range(first, last)], space.sq)
+                                              for rep in range(first, last)], sq)
         else:
             seeds = coords[_uniform_rows(seed, n, k, first, last)]
-        labels, centers, wcss, iters = _lloyd(coords, seeds, space.sq)
+        labels, centers, wcss, iters = _lloyd(coords, seeds, sq)
         # argmin and the strict < keep the first of equal WCSS, so ties go to
         # the lowest replicate id.
         i = int(wcss.argmin())
@@ -283,7 +225,7 @@ def hierarchical_complete(points, k):
     smallest member, and rows merged away are set to inf, so a row-major
     argmin merges the lexicographically smallest (i, j) pair on ties.
     Labels number the clusters by smallest member.  `points` may be given as
-    matrix.Gram(points), whose product and norms give the distances.
+    matrix.Gram(points), whose distances d2 are then copied, not formed.
     """
     if not isinstance(points, Gram):
         points = np.asarray(points, dtype=np.float64)
@@ -293,7 +235,7 @@ def hierarchical_complete(points, k):
         raise InvalidK(f"K={k} must lie in [1, n={n}]")
 
     # Exactly symmetric: its transpose is the same matrix, in C order.
-    d = _sq_dists(points.rows, points.rows, points.sq, points.g).T
+    d = points.d2.T.copy()
     np.fill_diagonal(d, np.inf)
     owner = np.arange(n)
     for _ in range(n - k):

@@ -121,9 +121,9 @@ def _get_null_table(opts, n, p):
 
 class Instance:
     """A data matrix and the stages every method derives from it alike: its
-    standardized matrix W, W's raw KS scores, for p > n W's matrix.Gram, and
-    W's k-means row space.  Each is formed, and timed, by the first call on
-    the instance that needs it, once per drop_constant setting."""
+    standardized matrix W, W's raw KS scores and, for p > n, W's
+    matrix.Gram.  Each is formed, and timed, by the first call on the
+    instance that needs it, once per drop_constant setting."""
 
     def __init__(self, x):
         self.x = x
@@ -169,9 +169,9 @@ def _select(inst, w, opts, timings):
 
 
 def _cluster(data, clusterer, opts, p, timings):
-    """Labels of the rows of `data` (a matrix.Gram, or a cluster.RowSpace for
-    k-means, on the standardized matrix); `p` is the standardized width,
-    which sets the spectral embedding's truncation level log(p)/sqrt(n)."""
+    """Labels of the rows of `data` (an array, or the standardized matrix's
+    matrix.Gram); `p` is the standardized width, which sets the spectral
+    embedding's truncation level log(p)/sqrt(n)."""
     init = clusterer
     if clusterer == "spectral":
         t0 = time.perf_counter()
@@ -213,9 +213,6 @@ def run_pipeline(x, opts, truth=None):
         data = w.values
         if w.p > w.n:
             data = inst._stage("gram", opts, timings, lambda: matrix.Gram(w.values))
-        if clusterer in ("uniform-sample", "plusplus"):
-            data = inst._stage("row_space", opts, timings,
-                               lambda data=data: cluster.row_space(data))
     labels = _cluster(data, clusterer, opts, w.p, timings)
 
     err = None

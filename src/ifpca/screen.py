@@ -171,7 +171,10 @@ def default_null_size(p):
 
 def _center_scale(v, mode, what):
     """(center, scale) of v: mean and SD for 'meanstd', median and MAD_SCALE * MAD
-    for 'medmad'.  Raises ZeroSpread, naming `what`, when the spread is zero."""
+    for 'medmad'.  Raises ValueError, naming `what`, when v holds fewer than
+    2 values, and ZeroSpread when the spread is zero."""
+    if v.size < 2:
+        raise ValueError(f"need at least 2 values in {what}, got {v.size}")
     if mode == "meanstd":
         sd = v.std(ddof=1)
         if sd == 0:
@@ -191,15 +194,15 @@ def normalize_scores(ks, mode, null=None):
     s = ks.scores
     if mode == "none":
         return ks
-    if s.size < 2:
-        raise ValueError("need at least 2 scores to normalize")
     if mode == "lower50":
         if null is None:
             raise ValueError("lower50 normalization requires a null table")
         low_obs = np.sort(s)[: s.size // 2]
         low_null = null.values[: null.size // 2]
         center, scale = _center_scale(low_obs, "meanstd", "the lower half of KS scores")
-        out = (s - center) / scale * low_null.std(ddof=1) + low_null.mean()
+        null_center, null_scale = _center_scale(low_null, "meanstd",
+                                                "the lower half of the null table")
+        out = (s - center) / scale * null_scale + null_center
     else:
         center, scale = _center_scale(s, mode, "KS scores")
         out = (s - center) / scale
@@ -217,7 +220,7 @@ def null_reference_values(null, mode):
     v = null.values
     if mode in ("none", "lower50"):
         return v
-    center, scale = _center_scale(v, mode, "null table")
+    center, scale = _center_scale(v, mode, "the null table")
     return (v - center) / scale
 
 

@@ -164,6 +164,50 @@ def test_cluster_empty_selection_exit_code(blob_csv, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 7.7])
+def test_cluster_constant_column_exit_code(value, capsys, tmp_path):
+    # A constant column whose computed SD is of order eps, not 0, used to be
+    # standardized to ±0.99 and selected, with or without --drop-constant.
+    x = np.random.default_rng(4).standard_normal((30, 200))
+    x[:, 17] = value
+    path = tmp_path / "x.csv"
+    np.savetxt(path, x, delimiter=",")
+    argv = ["cluster", "--input", str(path), "--k", "2", "--norm", "none",
+            "--threshold", "fixed:0"]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == "" and err == "error: column 17 has zero variance\n"
+    code, out, _ = run(argv + ["--drop-constant"], capsys)
+    assert code == 0
+    assert json.loads(out)["selected"] == [j for j in range(1, 201) if j != 18]
+
+
+@pytest.mark.parametrize("argv, what", [
+    # meanstd centers and scales the null table: one draw has no SD.
+    (["--null-reps", "1"], "the null table, got 1"),
+    (["--null-table", "one.txt"], "the null table, got 1"),
+    # lower50 matches the lower halves of the scores and of the table.
+    (["--norm", "lower50", "--null-reps", "3"],
+     "the lower half of the null table, got 1"),
+    (["--norm", "lower50", "--input", "narrow.csv"],
+     "the lower half of KS scores, got 1"),
+])
+def test_cluster_spread_of_fewer_than_two_values_exit_code(argv, what, blob_csv,
+                                                           capsys, tmp_path):
+    # Each used to give a NaN center or scale: a result computed against a
+    # NaN reference (exit 0), or a misleading empty selection (exit 5).
+    xpath, _ = blob_csv
+    save_null_table(screen.NullTable(n=40, seed=0, values=np.array([0.7])),
+                    tmp_path / "one.txt")
+    np.savetxt(tmp_path / "narrow.csv", np.loadtxt(xpath, delimiter=",")[:, :3],
+               delimiter=",")
+    argv = [str(tmp_path / a) if a.endswith((".txt", ".csv")) else a for a in argv]
+    code, out, err = run(["cluster", "--input", xpath, "--k", "2",
+                          "--null-reps", "2000"] + argv, capsys)
+    assert code == 3
+    assert out == "" and err == f"error: need at least 2 values in {what}\n"
+
+
 def test_cluster_missing_file_exit_code(capsys):
     code, _, _ = run(["cluster", "--input", "/nonexistent.csv", "--k", "2"],
                      capsys)
@@ -426,10 +470,11 @@ def test_cluster_bad_labels_exit_code(content, extra, shown, blob_csv, capsys,
 
 
 def test_simulate_one_shares_stages_across_methods(monkeypatch):
-    # Each generated instance is standardized, scored, multiplied out into
-    # its Gram matrix (with one eigh of it) and embedded once for all six
-    # methods.  No full-width bare array reaches the SVD, the row space or
-    # complete linkage; the spectral k-means embeds its own K-1 columns.
+    # Each generated instance is standardized, scored and multiplied out into
+    # its full-width Gram matrix once for all six methods, with one eigh of it
+    # and one set of pairwise distances, shared by the k-means row space and
+    # hier.  No full-width bare array reaches the SVD, k-means or complete
+    # linkage; the spectral k-means embeds its own K-1 columns.
     cfg = acm.AcmConfig.from_dict(TINY_CONFIG)
     calls = collections.Counter()
     grams = []
@@ -445,18 +490,24 @@ def test_simulate_one_shares_stages_across_methods(monkeypatch):
     def full_width(points, *args):
         return isinstance(points, np.ndarray) and points.shape[1] == cfg.p
 
+    def of_gram(a):
+        return any(a is gram.g for gram in grams)
+
     counting(matrix, "standardize_columns")
     counting(screen, "ks_scores")
-    counting(matrix.Gram, "__init__", lambda gram, rows: grams.append(gram) or True)
-    counting(np.linalg, "eigh", lambda a: any(a is gram.g for gram in grams))
-    for owner, name in ((matrix, "truncated_left_svd"), (cluster, "row_space"),
+    counting(matrix.Gram, "__init__",
+             lambda gram, rows: full_width(rows) and (grams.append(gram) or True))
+    counting(np.linalg, "eigh", of_gram)
+    for owner in (matrix, cluster):
+        counting(owner, "sq_dists", lambda a, b, a_sq=None, ba=None: of_gram(ba))
+    for owner, name in ((matrix, "truncated_left_svd"), (cluster, "kmeans"),
                         (cluster, "hierarchical_complete")):
         counting(owner, name, full_width)
     null_cache = {cfg.n: build_null_table(cfg.n, 2000, seed=0)}
     cli.simulate_one(cfg, cli.SIMULATE_METHODS, 2, 0, null_cache)
     assert cfg.p > cfg.n
     assert +calls == {"standardize_columns": 2, "ks_scores": 2, "__init__": 2,
-                      "eigh": 2}
+                      "eigh": 2, "sq_dists": 2}
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ifpca import cluster
-from ifpca.cluster import (LLOYD_MAX_ITER, _sq_dists, hamming_error,
-                           hierarchical_complete, kmeans, kmeanspp_seed)
+from ifpca.cluster import (LLOYD_MAX_ITER, hamming_error, hierarchical_complete,
+                           kmeans, kmeanspp_seed)
 from ifpca.errors import InvalidK
-from ifpca.matrix import Gram
+from ifpca.matrix import Gram, sq_dists
 
 
 # Oracle: Lloyd one replicate at a time, as kmeans ran it before replicates
 # ran together (_assign, _label_means and _lloyd, verbatim).
 
 def _assign(points, centers):
-    d2 = _sq_dists(points, centers)
+    d2 = sq_dists(points, centers)
     # Equal centers get the first one's column, so their ties go to the lower
     # index; the product can give equal centers columns a few ulps apart.
     first = {}
@@ -51,7 +51,7 @@ def _lloyd(points, centers):
     for it in range(1, LLOYD_MAX_ITER + 1):
         # An empty cluster is reseeded at the point farthest from its stale center.
         _label_means(points, labels, centers,
-                     lambda c: _sq_dists(points, centers[c:c + 1])[:, 0].argmax())
+                     lambda c: sq_dists(points, centers[c:c + 1])[:, 0].argmax())
         new_labels, d2 = _assign(points, centers)
         wcss = float(d2[np.arange(n), new_labels].sum())
         assert wcss <= prev_wcss + 1e-9 * max(1.0, abs(prev_wcss)), \
@@ -187,14 +187,14 @@ def kmeanspp_oracle(points, k, rng):
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, centers[:1])[:, 0]
+    d2 = sq_dists(points, centers[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
             centers[c] = points[rng.choice(n, p=d2 / total)]
         else:
             centers[c] = points[rng.integers(n)]
-        d2 = np.minimum(d2, _sq_dists(points, centers[c:c + 1])[:, 0])
+        d2 = np.minimum(d2, sq_dists(points, centers[c:c + 1])[:, 0])
     return centers
 
 
@@ -285,15 +285,14 @@ def test_hier_matches_literal_oracle_on_repeated_rows():
 
 
 def test_gram_distances_are_the_product_distances():
-    # hier and the row space take the distances from a matrix.Gram's product
-    # and einsum row norms, bit for bit those of _sq_dists on the points
-    # (b a distinct view of a: its norms and the product formed anew).
+    # hier and the row space take the distances d2 of a matrix.Gram, from its
+    # product and einsum row norms, bit for bit those of sq_dists on the
+    # points (b a distinct view of a: its norms and the product formed anew).
     rng = np.random.default_rng(15)
     for _ in range(50):
         base = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 300))))
         w = base[rng.integers(0, len(base), size=int(rng.integers(2, 30)))]
-        gram = Gram(w)
-        assert np.array_equal(_sq_dists(w, w, gram.sq, gram.g), _sq_dists(w, w[:]))
+        assert np.array_equal(Gram(w).d2, sq_dists(w, w[:]))
 
 
 @st.composite
@@ -309,7 +308,7 @@ def _row_pairs(draw):
 def test_sq_dists_matches_broadcast(pair):
     a, b = pair
     reference = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    got = _sq_dists(a, b)
+    got = sq_dists(a, b)
     assert got.shape == reference.shape
     assert (got >= 0).all()
     # The GEMM form cancels |a|² + |b|² against 2ab′, so its error scales

@@ -21,6 +21,23 @@ def test_standardize_constant_column_fatal():
         standardize_columns(x)
 
 
+@pytest.mark.parametrize("n", [3, 71, 577])
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 7.7])
+def test_standardize_constant_column_whose_mean_rounds(value, n):
+    # The mean of n copies of value need not round to value, and then the
+    # computed SD is of order eps, not 0 (a column of 0.1 at n=3: 1.7e-17).
+    # The column is constant all the same: it raises, or is dropped.
+    x = np.random.default_rng(n).standard_normal((n, 4))
+    x[:, 2] = value
+    with pytest.raises(ZeroVarianceColumn) as err:
+        standardize_columns(x)
+    assert err.value.column == 2
+    w = standardize_columns(x, drop_constant=True)
+    assert np.array_equal(w.kept_columns, [0, 1, 3])
+    keep = [0, 1, 3]
+    assert np.array_equal(w.values, (x[:, keep] - x.mean(0)[keep]) / x.std(0, ddof=1)[keep])
+
+
 def test_standardize_two_point_column():
     # mean 1, sd sqrt(2) with the n-1 denominator
     w = standardize_columns(np.array([[0.0], [2.0]]))

@@ -17,7 +17,7 @@ from ifpca.pipeline import (
     parse_threshold,
     run_pipeline,
 )
-from ifpca.cluster import hierarchical_complete, row_space
+from ifpca.cluster import hierarchical_complete
 from ifpca.screen import build_null_table, ks_scores, select_features
 from ifpca.matrix import Gram, standardize_columns, truncated_left_svd
 
@@ -257,7 +257,7 @@ def test_gram_stage_matches_bare_array(seed, n, extra, distinct, k):
     a, b = truncated_left_svd(gram, k), truncated_left_svd(w, k)
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.singular_values, b.singular_values)
-    coords = row_space(gram).coords
+    coords = gram.row_space[0]
     equal = (w[:, None] == w[None]).all(axis=2)
     assert ((coords[:, None] == coords[None]).all(axis=2) == equal).all()
 
