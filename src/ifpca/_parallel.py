@@ -1,4 +1,5 @@
-"""One thread fan-out for the KS column blocks and the null-table chunks."""
+"""One thread fan-out for the standardization and KS column blocks and
+the null-table chunks."""
 
 from concurrent.futures import ThreadPoolExecutor
 

@@ -199,7 +199,7 @@ def run_pipeline(x, opts, truth=None):
     inst = x if isinstance(x, Instance) else Instance(x)
     timings = {}
     w = inst._stage("standardize", opts, timings, lambda: matrix.standardize_columns(
-        inst.x, drop_constant=opts.drop_constant))
+        inst.x, drop_constant=opts.drop_constant, threads=opts.threads))
 
     screened, clusterer = _METHODS[opts.method]
     if screened:

@@ -1,5 +1,7 @@
 """Feature screening: KS scores, Monte-Carlo null tables, renormalization, p-values."""
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -21,6 +23,10 @@ _NULL_CHUNK_TARGET = 4_000_000
 # _NULL_BUFFER_CELLS cells at a time (1.2 MB).  Neither changes any value.
 _KS_BLOCK = 512
 _NULL_BUFFER_CELLS = 150_000
+
+# Sample size from which _ks_of_sorted evaluates Phi block by block; below
+# it, blocks of floor(sqrt(n)/6) < 2 order statistics would save nothing.
+_PRUNE_MIN_N = 144
 
 
 @dataclass(frozen=True)
@@ -59,20 +65,54 @@ class FeatureSet:
         return self.indices.size
 
 
-def _ks_of_sorted(srt, axis):
-    """sqrt(n) * max over `axis` of max(i/n - Phi, Phi - (i-1)/n), srt sorted along `axis`.
+@functools.lru_cache(maxsize=8)
+def _ks_grid(n):
+    """(i/n, (i-1)/n) for i = 1..n, read-only."""
+    i = np.arange(1.0, n + 1)
+    grid = i / n, (i - 1.0) / n
+    for g in grid:
+        g.flags.writeable = False
+    return grid
+
+
+def _ks_of_sorted(srt):
+    """sqrt(n) * max over each row of max(i/n - Phi, Phi - (i-1)/n), srt an
+    r×n array of rows sorted ascending.
 
     The closed form of the sup-distance between the empirical CDF and the
-    N(0,1) CDF: the sup is attained at a jump point, from one side or the other.
-    srt is overwritten (with Phi - (i-1)/n), so callers pass an array they own.
+    N(0,1) CDF: the sup is attained at a jump point, from one side or the
+    other.  srt may be overwritten, so callers pass an array they own.
+
+    From n = _PRUNE_MIN_N on, Phi is evaluated only at every B-th order
+    statistic (B = floor(sqrt(n)/6)) and the last.  Phi is monotone, so on a
+    block [a, a+B) i/n - Phi is at most min(a+B, n)/n - Phi(z_a), and
+    Phi - (i-1)/n at most Phi(z at the next block's start, or the last) - a/n.
+    Only blocks whose bound reaches the best value at the evaluated points,
+    less 1e-12, are evaluated in full.  Every candidate for the maximum is
+    the same expression as on the every-entry path, so the result is too.
     """
-    n = srt.shape[axis]
-    phi = ndtr(srt, out=srt)
-    # 1..n laid along `axis`, broadcasting over the axes after it.
-    i = np.arange(1.0, n + 1).reshape([n] + [1] * (srt.ndim - 1 - axis))
-    above = (i / n - phi).max(axis=axis)
-    phi -= (i - 1.0) / n
-    return np.sqrt(n) * np.maximum(above, phi.max(axis=axis))
+    n = srt.shape[1]
+    up, down = _ks_grid(n)
+    if n < _PRUNE_MIN_N:
+        phi = ndtr(srt, out=srt)
+        above = (up - phi).max(axis=1)
+        phi -= down
+        return np.sqrt(n) * np.maximum(above, phi.max(axis=1))
+    b = math.isqrt(n) // 6
+    starts = np.arange(0, n, b)
+    probe = np.append(starts, n - 1)
+    phi = ndtr(srt[:, probe])
+    best = np.maximum(up[probe] - phi, phi - down[probe]).max(axis=1)
+    bound = np.maximum(up[np.minimum(starts + b, n) - 1] - phi[:, :-1],
+                       phi[:, 1:] - down[starts])
+    rows, blocks = np.divmod(np.flatnonzero(bound >= (best - 1e-12)[:, None]),
+                             bound.shape[1])
+    # The surviving blocks' entries, one block per column (a short last block
+    # repeats index n - 1, which leaves its maximum as it is).
+    idx = np.minimum(starts[blocks] + np.arange(b)[:, None], n - 1)
+    phi = ndtr(srt[rows, idx])
+    np.maximum.at(best, rows, np.maximum(up[idx] - phi, phi - down[idx]).max(axis=0))
+    return np.sqrt(n) * best
 
 
 def ks_of_standardized(v):
@@ -80,7 +120,7 @@ def ks_of_standardized(v):
     v = np.asarray(v, dtype=np.float64)
     if v.size < 1:
         raise ValueError("need at least one value")
-    return float(_ks_of_sorted(np.sort(v), axis=0))
+    return float(_ks_of_sorted(np.sort(v.ravel())[None])[0])
 
 
 def ks_scores(w, threads=1):
@@ -92,7 +132,7 @@ def ks_scores(w, threads=1):
         # A transposed copy, never a view: it is sorted and overwritten.
         blk = vals[:, j:j + _KS_BLOCK].T.copy()
         blk.sort(axis=1)
-        return _ks_of_sorted(blk, axis=1)
+        return _ks_of_sorted(blk)
 
     blocks = parallel_map(score_block, range(0, vals.shape[1], _KS_BLOCK), threads)
     return KsScores(scores=np.concatenate(list(blocks)), n=vals.shape[0])
@@ -108,7 +148,7 @@ def _null_psi_batch(z):
     z -= z.mean(axis=1, keepdims=True)
     z /= np.sqrt(np.square(z).sum(axis=1, keepdims=True) / (z.shape[1] - 1))
     z.sort(axis=1)
-    return _ks_of_sorted(z, axis=1)
+    return _ks_of_sorted(z)
 
 
 def build_null_table(n, reps, seed, threads=1):
@@ -279,6 +319,8 @@ def load_null_table(path):
                 header = f.readline().decode("ascii").rstrip("\n")
                 n, reps, seed = _parse_null_header(header)
                 values = np.frombuffer(f.read(8 * reps), dtype="<f8").copy()
+                if f.read(1):
+                    raise ValueError(f"bytes left after the {reps} values")
         else:
             with open(path) as f:
                 n, reps, seed = _parse_null_header(f.readline().rstrip("\n"))

@@ -239,12 +239,15 @@ def test_cluster_with_stored_null_table(blob_csv, capsys, tmp_path):
     "ifpca-null v1, n=40, N=1, seed=1\nabc\n",              # does not parse
     ("null.txt", b"ifpca-null v1, n=40, N=1, seed=1\n\xff\n"),  # not UTF-8
     ("null.bin", b"\xffifpca-null v1\n"),                    # not ASCII
+    ("null.bin", b"ifpca-null v1, n=40, N=1, seed=1\n"      # surplus values
+     + np.array([0.5, 0.7]).astype("<f8").tobytes()),
 ])
 def test_cluster_malformed_null_table_exit_code(content, blob_csv, capsys,
                                                 tmp_path):
     # A header with a field missing used to end in a KeyError traceback,
-    # unsorted values in wrong p-values without an error, and a file that
-    # did not decode or parse in a message without its name.
+    # unsorted values in wrong p-values without an error, a file that did
+    # not decode or parse in a message without its name, and a .bin file
+    # with more values than its header's N in the first N, silently.
     name, content = content if isinstance(content, tuple) else ("null.txt",
                                                                 content)
     xpath, _ = blob_csv

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ifpca import matrix
 from ifpca.errors import DegenerateGapWarning, ZeroVarianceColumn
 from ifpca.matrix import (SpectralEmbedding, entrywise_truncate,
                           standardize_columns, truncated_left_svd)
@@ -60,30 +63,55 @@ def test_standardize_columns_have_zero_mean_unit_sd():
 
 
 @given(n=st.integers(2, 30), p=st.integers(1, 30),
-       constant=st.sets(st.integers(0, 29), max_size=5),
+       constant=st.sets(st.integers(0, 29), max_size=5), last_constant=st.booleans(),
+       block=st.sampled_from([2, 3, 4, matrix._STD_BLOCK]), threads=st.sampled_from([1, 2, 3]),
        order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
-def test_standardize_matches_literal_formula(n, p, constant, order, seed):
+def test_standardize_matches_literal_formula(n, p, constant, last_constant, block,
+                                             threads, order, seed):
+    # Blocks of 2 to 4 columns make most widths span several blocks, some
+    # ending in a 1-column tail, on 1 to 3 workers.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p) + rng.normal(0, 5, p)
-    for j in constant:
+    for j in constant | ({p - 1} if last_constant else set()):
         if j < p:
             x[:, j] = 3.0
     x = np.asarray(x, order=order)
     keep = np.flatnonzero(x.std(0, ddof=1) > 0)
-    if keep.size < p:
-        # Without drop_constant a constant column is an error.
-        with pytest.raises(ZeroVarianceColumn):
-            standardize_columns(x)
-    if keep.size == 0:
-        return
-    w = standardize_columns(x, drop_constant=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_STD_BLOCK", block)
+        if keep.size < p:
+            # Without drop_constant a constant column is an error.
+            with pytest.raises(ZeroVarianceColumn):
+                standardize_columns(x, threads=threads)
+        if keep.size == 0:
+            return
+        w = standardize_columns(x, drop_constant=True, threads=threads)
+        full = standardize_columns(x, threads=threads) if keep.size == p else None
     want = (x[:, keep] - x.mean(0)[keep]) / x.std(0, ddof=1)[keep]
     assert np.array_equal(w.values, want)
     assert np.array_equal(w.col_mean, x.mean(0)[keep])
     assert np.array_equal(w.col_sd, x.std(0, ddof=1)[keep])
     assert np.array_equal(w.kept_columns, keep)
-    if keep.size == p:
-        assert np.array_equal(standardize_columns(x).values, want)
+    if full is not None:
+        assert np.array_equal(full.values, want)
+
+
+def test_standardize_blocks_on_more_threads_than_cores(monkeypatch):
+    # 150 two-column blocks on 8 workers that switch every microsecond write
+    # disjoint slices of the shared outputs; a lost or misplaced write would
+    # show as a difference from the one-worker result.
+    monkeypatch.setattr(matrix, "_STD_BLOCK", 2)
+    x = np.random.default_rng(3).standard_normal((20, 300))
+    want = standardize_columns(x)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = standardize_columns(x, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.col_mean, want.col_mean)
+    assert np.array_equal(got.col_sd, want.col_sd)
 
 
 def test_standardize_idempotent():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifpca import matrix
 from ifpca.acm import AcmConfig, DistributionSpec, generate
 from ifpca.errors import EmptySelection
 from ifpca.pipeline import (
@@ -168,8 +169,9 @@ def test_label_permutation_invariance_of_error(null120):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_thread_count_does_not_change_results(method, null120):
-    # p > n, so the baselines' k-means runs on the row-space embedding.
-    x, y = two_class_data(p=400)
+    # p > n, so the baselines' k-means runs on the row-space embedding, and
+    # p spans three standardization blocks, the last with a joined tail.
+    x, y = two_class_data(p=2 * matrix._STD_BLOCK + 1)
     a = PipelineOptions(k=2, method=method, norm="none", null_table=null120,
                         seed=2, threads=1)
     b = replace(a, threads=4)

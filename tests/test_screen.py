@@ -200,6 +200,37 @@ def test_null_table_thread_invariant():
     assert np.array_equal(a.values, b.values)
 
 
+def ks_rows_every_entry(srt):
+    """sqrt(n) * max(i/n - Phi, Phi - (i-1)/n) over each sorted row, with Phi
+    evaluated at every entry."""
+    n = srt.shape[1]
+    i = np.arange(1.0, n + 1)
+    phi = ndtr(srt)
+    return np.sqrt(n) * np.maximum((i / n - phi).max(axis=1),
+                                   (phi - (i - 1.0) / n).max(axis=1))
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 12) | st.sampled_from([143, 144, 145, 577, 5000])
+       | st.integers(144, 1200),
+       rows=st.integers(1, 4), decimals=st.sampled_from([None, 0, 1, 2]),
+       constant=st.booleans(), shift=st.sampled_from([0.0, 3.0, -3.0, 40.0, -40.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ks_kernel_matches_every_entry_form(n, rows, decimals, constant, shift, seed):
+    # The block-pruned kernel (n >= 144) evaluates Phi only where the maximum
+    # can be, and must give the every-entry value bit for bit: on rows with
+    # ties (rounded values), constant rows, and rows shifted so far that the
+    # maximum sits at the first (+40) or the last (-40) order statistic.
+    z = np.random.default_rng(seed).standard_normal((rows, n)) + shift
+    if decimals is not None:
+        z = np.round(z, decimals)
+    if constant:
+        z[0] = z[0, 0]
+    z.sort(axis=1)
+    want = ks_rows_every_entry(z)
+    assert np.array_equal(screen._ks_of_sorted(z.copy()), want)
+
+
 def null_table_oracle(n, reps, seed):
     """Whole-chunk formula: each chunk's rows drawn in one call, standardized
     by (z - mean) / std, sorted and scored; all chunks sorted together."""
@@ -211,7 +242,7 @@ def null_table_oracle(n, reps, seed):
         z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, ddof=1,
                                                          keepdims=True)
         z.sort(axis=1)
-        parts.append(screen._ks_of_sorted(z, axis=1))
+        parts.append(ks_rows_every_entry(z))
     return np.sort(np.concatenate(parts))
 
 
