@@ -6,7 +6,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .errors import InvalidConfig, UnknownExperiment
@@ -214,26 +213,20 @@ def correlated_noise_matrix(variant, d, subset_size, p, rng):
     """
     if abs(d) >= 1:
         raise InvalidConfig("|d| must be < 1")
-    rows = list(range(p))
-    cols = list(range(p))
-    vals = [1.0] * p
+    rows = cols = np.arange(p)
     if variant == "band":
         if d != 0.0:
-            rows += list(range(p - 1))
-            cols += list(range(1, p))
-            vals += [d] * (p - 1)
+            rows, cols = np.r_[rows, :p - 1], np.r_[cols, 1:p]
     elif variant == "random":
         if subset_size < 1:
             raise InvalidConfig("subset size must be >= 1")
-        for j in range(p):
-            pool = rng.choice(p - 1, size=subset_size, replace=False)
-            off = np.where(pool >= j, pool + 1, pool)  # skip the diagonal
-            rows += off.tolist()
-            cols += [j] * subset_size
-            vals += [d] * subset_size
+        pool = np.array([rng.choice(p - 1, size=subset_size, replace=False)
+                         for _ in range(p)]).ravel()
+        col = np.repeat(cols, subset_size)
+        rows, cols = np.r_[rows, pool + (pool >= col)], np.r_[cols, col]  # skip the diagonal
     else:
         raise InvalidConfig(f"unknown correlation variant: {variant}")
-    return sparse.csc_array((vals, (rows, cols)), shape=(p, p))
+    return sparse.csc_array((np.where(rows == cols, 1.0, d), (rows, cols)), shape=(p, p))
 
 
 def signal_magnitude(r, p, n, h):
@@ -302,19 +295,6 @@ def generate(config, seed):
 # ---------------------------------------------------------------------------
 # Experiment presets.
 
-def _symmetric_scale():
-    """Constant c0 with: r (asymmetric delta) and c0*r (symmetric delta) give
-    equal kappa(j) at unit feature magnitude and sign."""
-    def gap(c0, r=0.5, p=4 * 10**4, n=577):
-        u_a = signal_magnitude(r, p, n, 1.0)
-        m_asym = np.array([[u_a], [-0.5 * u_a]])
-        k_asym = kappa(m_asym, [1.0 / 3.0, 2.0 / 3.0])[0]
-        u_s = signal_magnitude(c0 * r, p, n, 1.0)
-        k_sym = kappa(np.array([[u_s], [-u_s]]), [0.5, 0.5])[0]
-        return k_sym - k_asym
-    return brentq(gap, 1e-4, 1.0, xtol=1e-12)
-
-
 def experiment_preset(exp_id):
     """Parameter grids of the five simulation experiments, as AcmConfig lists."""
     normal01 = DistributionSpec("normal", (0.0, 1.0))
@@ -325,11 +305,10 @@ def experiment_preset(exp_id):
                     g_sigma=DistributionSpec("uniform", (1.1, 0.1)),
                     threshold_q=0.06)
         r_asym = [0.20, 0.35, 0.50, 0.65]
-        if exp_id == "1a":
-            r_sym = [0.06, 0.14, 0.22, 0.30]
-        else:
-            c0 = _symmetric_scale()
-            r_sym = [c0 * r for r in r_asym]
+        # 1b matches kappa at unit magnitude: kappa^2 is u^2/2 for contrasts
+        # (u, -u/2) at delta (1/3, 2/3) and v^2 for (v, -v) at (1/2, 1/2), so
+        # v = u/sqrt(2), and u ~ r^(1/6) makes the symmetric r exactly r/8.
+        r_sym = [0.06, 0.14, 0.22, 0.30] if exp_id == "1a" else [r / 8.0 for r in r_asym]
         configs = [AcmConfig(delta=(1.0 / 3.0, 2.0 / 3.0), r=r, **base)
                    for r in r_asym]
         configs += [AcmConfig(delta=(0.5, 0.5), r=r, **base) for r in r_sym]

@@ -224,12 +224,16 @@ def hierarchical_complete(points, k):
     keeps memory at O(np + n²).  Each cluster lives at the row of its
     smallest member, and rows merged away are set to inf, so a row-major
     argmin merges the lexicographically smallest (i, j) pair on ties.
-    Labels number the clusters by smallest member.  `points` may be given as
-    matrix.Gram(points), whose distances d2 are then copied, not formed.
+    Labels number the clusters by smallest member.  A bare array is first
+    translated to put its first row at the origin: far from it, the
+    tolerance band of |a|² + |b|² − 2ab′ would swallow the distances.
+    `points` may be given as matrix.Gram(points), whose distances d2 are then
+    copied, not formed.
     """
     if not isinstance(points, Gram):
         points = np.asarray(points, dtype=np.float64)
-        points = Gram(points[:, None] if points.ndim == 1 else points)
+        points = points[:, None] if points.ndim == 1 else points
+        points = Gram(points - points[:1])
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InvalidK(f"K={k} must lie in [1, n={n}]")

@@ -54,7 +54,8 @@ def standardize_columns(x, drop_constant=False, threads=1):
 
     Constant columns (every entry equal, or a computed SD of 0) raise
     ZeroVarianceColumn unless drop_constant is set, in which case they are
-    removed and the surviving index map is recorded.  Blocks of about
+    removed and the surviving index map is recorded.  A column whose mean or
+    SD overflows raises ValueError naming it.  Blocks of about
     _STD_BLOCK columns run on `threads` workers; values do not depend on
     either.
     """
@@ -72,6 +73,8 @@ def standardize_columns(x, drop_constant=False, threads=1):
     mean, sd = np.empty(p), np.empty(p)
     constant = np.empty(p, dtype=bool)
 
+    # A sum that overflows is refused below; errstate is set per thread.
+    @np.errstate(over="ignore", invalid="ignore")
     def standardize_block(cols):
         # x.mean(axis=0) and x.std(axis=0, ddof=1)'s own arithmetic, one
         # pass over the block: a column sum over n, divided by n; the
@@ -95,6 +98,10 @@ def standardize_columns(x, drop_constant=False, threads=1):
     for _ in parallel_map(standardize_block,
                           map(slice, edges[:-1], edges[1:]), threads):
         pass
+    # A non-finite mean makes the SD non-finite too.
+    overflow = np.flatnonzero(~constant & ~np.isfinite(sd))
+    if overflow.size:
+        raise ValueError(f"column {overflow[0]}: its mean or SD overflows")
     keep = np.arange(p)
     if constant.any():
         zero = np.flatnonzero(constant)

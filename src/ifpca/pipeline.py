@@ -164,8 +164,7 @@ def _select(inst, w, opts, timings):
     else:  # fixed-q: the simulation threshold sqrt(2 q~ log p)
         threshold = math.sqrt(2.0 * value * math.log(p))
 
-    sel = screen.select_features(scored, threshold)
-    return sel.indices - 1, threshold, j_hat
+    return screen.select_features(scored, threshold) - 1, threshold, j_hat
 
 
 def _cluster(data, clusterer, opts, p, timings):

@@ -1,6 +1,5 @@
 """Feature screening: KS scores, Monte-Carlo null tables, renormalization, p-values."""
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -54,27 +53,6 @@ class NullTable:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class FeatureSet:
-    """Selected feature indices (1-based, sorted)."""
-
-    indices: np.ndarray
-
-    @property
-    def size(self):
-        return self.indices.size
-
-
-@functools.lru_cache(maxsize=8)
-def _ks_grid(n):
-    """(i/n, (i-1)/n) for i = 1..n, read-only."""
-    i = np.arange(1.0, n + 1)
-    grid = i / n, (i - 1.0) / n
-    for g in grid:
-        g.flags.writeable = False
-    return grid
-
-
 def _ks_of_sorted(srt):
     """sqrt(n) * max over each row of max(i/n - Phi, Phi - (i-1)/n), srt an
     r×n array of rows sorted ascending.
@@ -92,7 +70,8 @@ def _ks_of_sorted(srt):
     the same expression as on the every-entry path, so the result is too.
     """
     n = srt.shape[1]
-    up, down = _ks_grid(n)
+    i = np.arange(1.0, n + 1)
+    up, down = i / n, (i - 1.0) / n
     if n < _PRUNE_MIN_N:
         phi = ndtr(srt, out=srt)
         above = (up - phi).max(axis=1)
@@ -280,7 +259,7 @@ def select_features(ks, t):
     idx = np.flatnonzero(ks.scores >= t) + 1
     if idx.size == 0:
         raise EmptySelection(f"no score reaches threshold {t}")
-    return FeatureSet(indices=idx)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +282,9 @@ def save_null_table(table, path):
             f.write((header + "\n").encode("ascii"))
             f.write(table.values.astype("<f8").tobytes())
     else:
+        # Through a handle, so that a name ending in .gz is not compressed.
         with open(path, "w") as f:
-            f.write(header + "\n")
-            for v in table.values:
-                f.write(f"{v:.17g}\n")
+            np.savetxt(f, table.values, fmt="%.17g", header=header, comments="")
 
 
 def load_null_table(path):

@@ -342,9 +342,7 @@ def test_preset_1a_grid():
 def test_preset_1b_symmetric_scale_is_one_eighth():
     configs = experiment_preset("1b")
     sym = [c for c in configs if c.delta == (0.5, 0.5)]
-    np.testing.assert_allclose([c.r for c in sym],
-                               [r / 8.0 for r in (0.20, 0.35, 0.50, 0.65)],
-                               atol=1e-10)
+    assert [c.r for c in sym] == [r / 8.0 for r in (0.20, 0.35, 0.50, 0.65)]
 
 
 def test_preset_2_and_3_grids():

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ifpca import acm, cli, cluster, matrix, screen
+from ifpca import acm, cli, cluster, matrix, pipeline, screen
 from ifpca.screen import build_null_table, load_null_table, save_null_table
 
 
@@ -180,6 +180,40 @@ def test_cluster_constant_column_exit_code(value, capsys, tmp_path):
     code, out, _ = run(argv + ["--drop-constant"], capsys)
     assert code == 0
     assert json.loads(out)["selected"] == [j for j in range(1, 201) if j != 18]
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_cluster_overflowing_column_exit_code(method, capsys, tmp_path):
+    # A column sum past the float range used to give an infinite mean and
+    # NaN standardized values: a traceback from k-means, "Eigenvalues did not
+    # converge" from pca, an empty HC rank from the screened methods, and a
+    # result from hier.
+    x = np.random.default_rng(6).standard_normal((40, 6))
+    x[:, 2] = 0.0
+    x[1:4, 2] = 1e308
+    path = tmp_path / "x.csv"
+    np.savetxt(path, x, delimiter=",", fmt="%.17g")
+    code, out, err = run(["cluster", "--input", str(path), "--k", "2",
+                          "--method", method, "--null-reps", "2000"], capsys)
+    assert code == 3
+    assert out == "" and err == "error: column 2: its mean or SD overflows\n"
+
+
+def test_cluster_truncate_reaches_the_pipeline(capsys, tmp_path):
+    # Four far samples put their entries of the leading singular vector
+    # past the clip level log(p)/sqrt(n).
+    x = np.random.default_rng(4).standard_normal((120, 60))
+    x[:4, :12] += 6.0
+    path = tmp_path / "x.csv"
+    np.savetxt(path, x, delimiter=",", fmt="%.17g")
+    code, out, _ = run(["cluster", "--input", str(path), "--k", "2", "--norm",
+                        "none", "--threshold", "fixed:1.0", "--truncate"], capsys)
+    assert code == 0
+    opts = pipeline.PipelineOptions(k=2, norm="none", threshold="fixed:1.0",
+                                    truncate=True)
+    report = json.loads(out)
+    assert report["config"]["truncate"] is True
+    assert report["labels"] == pipeline.run_pipeline(x, opts).labels.tolist()
 
 
 @pytest.mark.parametrize("argv, what", [

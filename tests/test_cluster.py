@@ -271,6 +271,19 @@ def test_hier_matches_literal_oracle_on_integer_grids():
             complete_linkage_oracle(pts, k)
 
 
+@given(arrays(np.int64, st.tuples(st.integers(2, 30), st.integers(1, 4)),
+              elements=st.integers(-8, 8)),
+       st.integers(-10**8, 10**8), st.data())
+def test_hier_is_translation_invariant(grid, offset, data):
+    # Quarter-integer points plus an integer offset add exactly, so the
+    # translated points are the same points, up to 1e8 from the origin,
+    # where |a|² + |b|² − 2ab′ alone would lose every distance.
+    pts = grid / 4.0
+    k = data.draw(st.integers(1, len(pts)))
+    assert hierarchical_complete(pts + offset, k).tolist() == \
+        hierarchical_complete(pts, k).tolist()
+
+
 def test_hier_matches_literal_oracle_on_repeated_rows():
     # Real-valued rows drawn with replacement: equal rows must be at
     # distance exactly 0, so that their merges tie and follow the rule.

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +19,10 @@ from ifpca.pipeline import (
     parse_threshold,
     run_pipeline,
 )
-from ifpca.cluster import hierarchical_complete
+from ifpca.cluster import hierarchical_complete, kmeans
 from ifpca.screen import build_null_table, ks_scores, select_features
-from ifpca.matrix import Gram, standardize_columns, truncated_left_svd
+from ifpca.matrix import (Gram, entrywise_truncate, standardize_columns,
+                          truncated_left_svd)
 
 
 def two_class_data(n=120, p=60, n_useful=12, shift=4.5, seed=0):
@@ -107,6 +109,21 @@ def test_zero_threshold_matches_unscreened_method(screened, unscreened):
     np.testing.assert_array_equal(a.selected, np.arange(1, x.shape[1] + 1))
     np.testing.assert_array_equal(b.selected, a.selected)
     assert a.error_rate == b.error_rate
+
+
+@pytest.mark.parametrize("method", ["ifpca", "pca"])
+def test_truncate_clusters_the_clipped_embedding(method):
+    # Four far samples put their entries of the leading singular vector
+    # past the clip level log(p)/sqrt(n) = 0.37.
+    x = np.random.default_rng(4).standard_normal((120, 60))
+    x[:4, :12] += 6.0
+    rep = run_pipeline(x, PipelineOptions(k=2, method=method, norm="none",
+                                          threshold="fixed:1.0", truncate=True,
+                                          seed=2))
+    emb = truncated_left_svd(standardize_columns(x).values[:, rep.selected - 1], 1)
+    clipped = entrywise_truncate(emb, math.log(60) / math.sqrt(120))
+    assert not np.array_equal(clipped.u, emb.u)
+    np.testing.assert_array_equal(rep.labels, kmeans(clipped.u, 2, seed=2).labels)
 
 
 def test_drop_constant_reports_input_columns():

@@ -284,9 +284,8 @@ def test_pvalues_antitone():
 
 def test_select_features_examples():
     ks = KsScores(scores=np.array([0.2, 0.9, 0.5]), n=10)
-    np.testing.assert_array_equal(select_features(ks, 0.5).indices, [2, 3])
-    np.testing.assert_array_equal(select_features(ks, -np.inf).indices,
-                                  [1, 2, 3])
+    np.testing.assert_array_equal(select_features(ks, 0.5), [2, 3])
+    np.testing.assert_array_equal(select_features(ks, -np.inf), [1, 2, 3])
     with pytest.raises(EmptySelection):
         select_features(ks, 1.0)
 
