@@ -227,8 +227,9 @@ def hierarchical_complete(points, k):
     Labels number the clusters by smallest member.  A bare array is first
     translated to put its first row at the origin: far from it, the
     tolerance band of |a|² + |b|² − 2ab′ would swallow the distances.
-    `points` may be given as matrix.Gram(points), whose distances d2 are then
-    copied, not formed.
+    Points whose columns are centered may be given as matrix.Gram(points),
+    whose distances d2 are then copied, not formed; a Gram is used as given,
+    untranslated, so far from the origin it has lost its distances already.
     """
     if not isinstance(points, Gram):
         points = np.asarray(points, dtype=np.float64)

@@ -12,33 +12,55 @@ from .errors import DegenerateGapWarning, ZeroVarianceColumn
 # Relative trailing-gap size below which the leading subspace is flagged.
 GAP_TOL = 1e-10
 
-# Columns per block of standardize_columns.  At n=577 a block's largest
-# temporary, its squares, is 2.4 MB per worker, no larger than a KS block's
-# copy; 1024-column blocks raised the peak RSS of a run of 1b ops by ~6 MB.
+# Columns per block of standardize_columns.  At n=577 a block's one
+# temporary, its centered copy squared in place, is 2.4 MB per worker, no
+# larger than a KS block's copy; 1024-column blocks raised the peak RSS of a
+# run of 1b ops by ~6 MB.
 _STD_BLOCK = 512
 
 
 @dataclass(frozen=True)
 class StandardizedMatrix:
-    """Column-standardized data with the per-column provenance that produced it.
+    """The data x with the per-column statistics that standardize it.
 
-    values[i, j] = (X[i, j] - col_mean[j]) / col_sd[j], with col_sd using the
-    n-1 denominator.  kept_columns maps output columns back to input columns
-    when constant columns were dropped (identity otherwise).
+    W[i, j] = (x[i, k] - col_mean[j]) / col_sd[j] for k = kept_columns[j],
+    with col_sd using the n-1 denominator.  kept_columns maps W's columns
+    back to x's when constant columns were dropped (identity otherwise).
+    W is not stored: columns(cols) forms the columns a method clusters, and
+    values all of W, on first use.
     """
 
-    values: np.ndarray
+    x: np.ndarray
     col_mean: np.ndarray
     col_sd: np.ndarray
     kept_columns: np.ndarray
 
     @property
     def n(self):
-        return self.values.shape[0]
+        return self.x.shape[0]
 
     @property
     def p(self):
-        return self.values.shape[1]
+        return self.kept_columns.size
+
+    def columns(self, cols=None):
+        """W[:, cols] in a new array, cols an index array into W's columns:
+        x's columns gathered row by row (np.take, faster than x[:, cols]) in
+        C order, then centered and scaled in place.  cols=None gives all of
+        W in x's memory order, from x itself when no column was dropped."""
+        if cols is None:
+            cols = slice(None)
+            src = self.x if self.p == self.x.shape[1] else self.x[:, self.kept_columns]
+        else:
+            src = np.take(self.x, self.kept_columns[cols], axis=1)
+        w = np.subtract(src, self.col_mean[cols], out=None if src is self.x else src)
+        w /= self.col_sd[cols]
+        return w
+
+    @functools.cached_property
+    def values(self):
+        """All of W (n×p), formed by the first read and kept."""
+        return self.columns()
 
 
 @dataclass(frozen=True)
@@ -50,7 +72,8 @@ class SpectralEmbedding:
 
 
 def standardize_columns(x, drop_constant=False, threads=1):
-    """Center each column and scale to unit sample SD (n-1 denominator).
+    """Column means and sample SDs (n-1 denominator) of x, as the
+    StandardizedMatrix that forms W from x; W itself is not formed here.
 
     Constant columns (every entry equal, or a computed SD of 0) raise
     ZeroVarianceColumn unless drop_constant is set, in which case they are
@@ -66,28 +89,25 @@ def standardize_columns(x, drop_constant=False, threads=1):
         raise ValueError("need at least 2 samples (rows)")
     if x.shape[1] < 1:
         raise ValueError("need at least 1 feature (column)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data matrix contains non-finite entries")
     n, p = x.shape
-    w = np.empty_like(x)
     mean, sd = np.empty(p), np.empty(p)
-    constant = np.empty(p, dtype=bool)
+    finite, constant = np.empty(p, dtype=bool), np.empty(p, dtype=bool)
 
-    # A sum that overflows is refused below; errstate is set per thread.
+    # Non-finite entries and sums that overflow are refused below; errstate
+    # is set per thread.
     @np.errstate(over="ignore", invalid="ignore")
     def standardize_block(cols):
         # x.mean(axis=0) and x.std(axis=0, ddof=1)'s own arithmetic, one
         # pass over the block: a column sum over n, divided by n; the
         # centered block; the sum of its squares, divided by n - 1.
-        xb, wb = x[:, cols], w[:, cols]
+        xb = x[:, cols]
+        finite[cols] = np.isfinite(xb).all(axis=0)
         mean[cols] = xb.sum(axis=0) / n
-        np.subtract(xb, mean[cols], out=wb)
-        sd[cols] = np.sqrt(np.square(wb).sum(axis=0) / (n - 1))
+        centered = xb - mean[cols]
+        sd[cols] = np.sqrt(np.square(centered, out=centered).sum(axis=0) / (n - 1))
         # A constant column whose mean does not round to its value gets an
         # SD of order eps, not 0, so constancy is equality to the first row.
         constant[cols] = (xb == xb[0]).all(axis=0) | (sd[cols] == 0.0)
-        # Constant columns, dropped or refused below, may have an SD of 0.
-        wb /= np.where(constant[cols], 1.0, sd[cols])
 
     # numpy sums a lone column of a C-ordered block pairwise, not row by
     # row as it does a wider block or the whole matrix, so a last block of
@@ -98,6 +118,8 @@ def standardize_columns(x, drop_constant=False, threads=1):
     for _ in parallel_map(standardize_block,
                           map(slice, edges[:-1], edges[1:]), threads):
         pass
+    if not finite.all():
+        raise ValueError("data matrix contains non-finite entries")
     # A non-finite mean makes the SD non-finite too.
     overflow = np.flatnonzero(~constant & ~np.isfinite(sd))
     if overflow.size:
@@ -110,9 +132,8 @@ def standardize_columns(x, drop_constant=False, threads=1):
         keep = np.flatnonzero(~constant)
         if keep.size == 0:
             raise ZeroVarianceColumn(int(zero[0]))
-        w, mean, sd = w[:, keep], mean[keep], sd[keep]
-    return StandardizedMatrix(values=w, col_mean=mean, col_sd=sd,
-                              kept_columns=keep)
+        mean, sd = mean[keep], sd[keep]
+    return StandardizedMatrix(x=x, col_mean=mean, col_sd=sd, kept_columns=keep)
 
 
 def sq_dists(a, b, a_sq=None, ba=None):
@@ -143,6 +164,8 @@ class Gram:
     derived from them, each formed on first use: eigh(g), the squared
     distances `d2` between W's rows, and W's `row_space`.  truncated_left_svd,
     cluster.kmeans and cluster.hierarchical_complete take it in place of W.
+    W's columns must be centered for the last two: d2 is |a|² + |b|² − 2ab′,
+    whose rounding error grows with the distance of the rows from the origin.
     """
 
     def __init__(self, rows):

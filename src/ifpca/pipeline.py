@@ -121,9 +121,12 @@ def _get_null_table(opts, n, p):
 
 class Instance:
     """A data matrix and the stages every method derives from it alike: its
-    standardized matrix W, W's raw KS scores and, for p > n, W's
-    matrix.Gram.  Each is formed, and timed, by the first call on the
-    instance that needs it, once per drop_constant setting."""
+    column statistics (a matrix.StandardizedMatrix), the raw KS scores and,
+    for p > n, the matrix.Gram of the standardized matrix W.  Each is formed,
+    and timed, by the first call on the instance that needs it, once per
+    drop_constant setting.  The screened methods form only the selected
+    columns of W; W is formed whole, and kept, by the first unscreened run,
+    inside the Gram stage when p > n."""
 
     def __init__(self, x):
         self.x = x
@@ -203,15 +206,14 @@ def run_pipeline(x, opts, truth=None):
     screened, clusterer = _METHODS[opts.method]
     if screened:
         cols, threshold, j_hat = _select(inst, w, opts, timings)
-        # take gathers row by row from the C-ordered matrix, faster than
-        # w.values[:, cols].
-        data = np.take(w.values, cols, axis=1)
+        data = w.columns(cols)
     else:
         # slice(None) takes every column as a view, without a copy.
         cols, threshold, j_hat = slice(None), -math.inf, None
-        data = w.values
         if w.p > w.n:
             data = inst._stage("gram", opts, timings, lambda: matrix.Gram(w.values))
+        else:
+            data = w.values
     labels = _cluster(data, clusterer, opts, w.p, timings)
 
     err = None

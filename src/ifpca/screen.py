@@ -53,13 +53,18 @@ class NullTable:
         return self.values.size
 
 
-def _ks_of_sorted(srt):
-    """sqrt(n) * max over each row of max(i/n - Phi, Phi - (i-1)/n), srt an
-    r×n array of rows sorted ascending.
+def _ks_of_sorted(srt, center, scale):
+    """sqrt(n) * max over each row of max(i/n - Phi(z_i), Phi(z_i) - (i-1)/n),
+    z = (v - center) / scale, srt an r×n array of rows v sorted ascending and
+    center, scale length-r arrays with scale > 0.
 
-    The closed form of the sup-distance between the empirical CDF and the
-    N(0,1) CDF: the sup is attained at a jump point, from one side or the
-    other.  srt may be overwritten, so callers pass an array they own.
+    The closed form of the sup-distance between the empirical CDF of z and
+    the N(0,1) CDF: the sup is attained at a jump point, from one side or the
+    other.  (v - c) / s with s > 0 is monotone non-decreasing in v under IEEE
+    rounding, so each row of z is sorted too, bit-equal to the row
+    standardized first and sorted after, and the map is applied only where
+    Phi is evaluated.  srt may be overwritten, so callers pass an array they
+    own.
 
     From n = _PRUNE_MIN_N on, Phi is evaluated only at every B-th order
     statistic (B = floor(sqrt(n)/6)) and the last.  Phi is monotone, so on a
@@ -69,18 +74,27 @@ def _ks_of_sorted(srt):
     less 1e-12, are evaluated in full.  Every candidate for the maximum is
     the same expression as on the every-entry path, so the result is too.
     """
+    def phi_at(v, c, s):
+        # Phi((v - c) / s), in place: v is a copy or srt itself.  A zero
+        # center (the null draws, centered already) is not subtracted:
+        # v - 0 is v, up to the sign of a zero, which Phi does not see.
+        if c.any():
+            v -= c
+        v /= s
+        return ndtr(v, out=v)
+
     n = srt.shape[1]
     i = np.arange(1.0, n + 1)
     up, down = i / n, (i - 1.0) / n
     if n < _PRUNE_MIN_N:
-        phi = ndtr(srt, out=srt)
+        phi = phi_at(srt, center[:, None], scale[:, None])
         above = (up - phi).max(axis=1)
         phi -= down
         return np.sqrt(n) * np.maximum(above, phi.max(axis=1))
     b = math.isqrt(n) // 6
     starts = np.arange(0, n, b)
     probe = np.append(starts, n - 1)
-    phi = ndtr(srt[:, probe])
+    phi = phi_at(srt[:, probe], center[:, None], scale[:, None])
     best = np.maximum(up[probe] - phi, phi - down[probe]).max(axis=1)
     bound = np.maximum(up[np.minimum(starts + b, n) - 1] - phi[:, :-1],
                        phi[:, 1:] - down[starts])
@@ -89,7 +103,7 @@ def _ks_of_sorted(srt):
     # The surviving blocks' entries, one block per column (a short last block
     # repeats index n - 1, which leaves its maximum as it is).
     idx = np.minimum(starts[blocks] + np.arange(b)[:, None], n - 1)
-    phi = ndtr(srt[rows, idx])
+    phi = phi_at(srt[rows, idx], center[rows], scale[rows])
     np.maximum.at(best, rows, np.maximum(up[idx] - phi, phi - down[idx]).max(axis=0))
     return np.sqrt(n) * best
 
@@ -99,35 +113,38 @@ def ks_of_standardized(v):
     v = np.asarray(v, dtype=np.float64)
     if v.size < 1:
         raise ValueError("need at least one value")
-    return float(_ks_of_sorted(np.sort(v.ravel())[None])[0])
+    return float(_ks_of_sorted(np.sort(v.ravel())[None], np.zeros(1), np.ones(1))[0])
 
 
 def ks_scores(w, threads=1):
-    """KS score of every column of a StandardizedMatrix, in blocks of
-    _KS_BLOCK columns on `threads` workers."""
-    vals = w.values
+    """KS score of every column of a StandardizedMatrix, from x's kept
+    columns, in blocks of _KS_BLOCK columns on `threads` workers.  W is not
+    formed: _ks_of_sorted standardizes the sorted values where it needs them."""
+    xt, kept = w.x.T, w.kept_columns
 
     def score_block(j):
-        # A transposed copy, never a view: it is sorted and overwritten.
-        blk = vals[:, j:j + _KS_BLOCK].T.copy()
+        cols = slice(j, j + _KS_BLOCK)
+        # Rows gathered from x's transpose are a C-ordered copy, which is
+        # sorted and overwritten.
+        blk = xt[kept[cols]]
         blk.sort(axis=1)
-        return _ks_of_sorted(blk)
+        return _ks_of_sorted(blk, w.col_mean[cols], w.col_sd[cols])
 
-    blocks = parallel_map(score_block, range(0, vals.shape[1], _KS_BLOCK), threads)
-    return KsScores(scores=np.concatenate(list(blocks)), n=vals.shape[0])
+    blocks = parallel_map(score_block, range(0, w.p, _KS_BLOCK), threads)
+    return KsScores(scores=np.concatenate(list(blocks)), n=w.n)
 
 
 def _null_psi_batch(z):
     """KS scores for a batch of draws, one draw per row, after row standardization.
 
-    z is overwritten.  Rows are centered in place and divided by
-    np.std(ddof=1)'s own arithmetic on the centered rows, so the values
-    equal (z - mean) / std.
+    z is overwritten.  Rows are centered in place and scaled, where the
+    kernel evaluates Phi, by np.std(ddof=1)'s own arithmetic on the centered
+    rows, so the values equal (z - mean) / std.
     """
     z -= z.mean(axis=1, keepdims=True)
-    z /= np.sqrt(np.square(z).sum(axis=1, keepdims=True) / (z.shape[1] - 1))
+    sd = np.sqrt(np.square(z).sum(axis=1) / (z.shape[1] - 1))
     z.sort(axis=1)
-    return _ks_of_sorted(z)
+    return _ks_of_sorted(z, np.zeros(len(z)), sd)
 
 
 def build_null_table(n, reps, seed, threads=1):

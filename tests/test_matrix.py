@@ -24,6 +24,22 @@ def test_standardize_constant_column_fatal():
         standardize_columns(x)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_standardize_refuses_non_finite_entries(value, threads):
+    # The entry sits in the second block, beside a constant column that
+    # drop_constant would drop and a column whose sum overflows: the
+    # non-finite entry is what is reported, and no warning is raised.
+    x = np.random.default_rng(3).standard_normal((6, matrix._STD_BLOCK + 9))
+    x[2, matrix._STD_BLOCK + 4] = value
+    x[:, 1] = 7.0
+    x[:3, 2] = 1e308
+    for drop in (False, True):
+        with pytest.raises(ValueError, match="non-finite"):
+            with np.errstate(all="raise"):
+                standardize_columns(x, drop_constant=drop, threads=threads)
+
+
 @pytest.mark.parametrize("n", [3, 71, 577])
 @pytest.mark.parametrize("value", [0.1, 1 / 3, 7.7])
 def test_standardize_constant_column_whose_mean_rounds(value, n):

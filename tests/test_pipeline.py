@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +280,52 @@ def test_gram_stage_matches_bare_array(seed, n, extra, distinct, k):
     coords = gram.row_space[0]
     equal = (w[:, None] == w[None]).all(axis=2)
     assert ((coords[:, None] == coords[None]).all(axis=2) == equal).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, null: standardize_columns(x),
+    lambda x, null: run_pipeline(x, PipelineOptions(k=2, null_table=null)),
+], ids=["standardize_columns", "ifpca"])
+def test_screened_path_allocates_no_n_by_p_array(call):
+    # Standardization keeps column statistics, KS sorts blocks of x, and
+    # ifpca forms only the selected columns of W: the traced peak stays
+    # under half of one n×p array (2.9 MB).
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((60, 6000))
+    x[:20, :40] += 2.0
+    null = build_null_table(60, 5000, seed=1)
+    tracemalloc.start()
+    try:
+        call(x, null)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
+
+
+def test_ifpca_runs_never_form_the_whole_standardized_matrix(null120):
+    x, y = two_class_data()
+    instance = Instance(x)
+    for threshold in ("hc", "fixed:1.0"):
+        run_pipeline(instance, PipelineOptions(k=2, threshold=threshold,
+                                               null_table=null120), truth=y)
+    w = instance._stages[("standardize", False)]
+    assert "values" not in vars(w)
+    run_pipeline(instance, PipelineOptions(k=2, method="pca"))
+    assert "values" in vars(w)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
+def test_pipeline_gram_merges_as_the_bare_array_far_from_the_origin(seed, k):
+    # The Gram stage hier takes is of W, whose columns are centered, so data
+    # offset by 1e8 merge as the bare standardized array does (a Gram of
+    # the uncentered points would lose every distance to rounding).
+    x = np.random.default_rng(seed).standard_normal((30, 40)) + 1e8
+    report = run_pipeline(Instance(x), PipelineOptions(k=k, method="hier"))
+    w = standardize_columns(x).values
+    assert np.array_equal(report.labels, hierarchical_complete(w, k))
+    assert np.array_equal(hierarchical_complete(Gram(w), k), report.labels)
 
 
 def test_run_is_deterministic(null120):

@@ -215,10 +215,14 @@ def ks_rows_every_entry(srt):
        | st.integers(144, 1200),
        rows=st.integers(1, 4), decimals=st.sampled_from([None, 0, 1, 2]),
        constant=st.booleans(), shift=st.sampled_from([0.0, 3.0, -3.0, 40.0, -40.0]),
+       center=st.sampled_from([0.0, 0.7, -2.5]), scale=st.sampled_from([1.0, 0.3, 3.7]),
        seed=st.integers(0, 2**32 - 1))
-def test_ks_kernel_matches_every_entry_form(n, rows, decimals, constant, shift, seed):
-    # The block-pruned kernel (n >= 144) evaluates Phi only where the maximum
-    # can be, and must give the every-entry value bit for bit: on rows with
+def test_ks_kernel_matches_every_entry_form(n, rows, decimals, constant, shift,
+                                            center, scale, seed):
+    # The kernel takes raw sorted rows and standardizes only where it
+    # evaluates Phi, and the block-pruned path (n >= 144) evaluates Phi only
+    # where the maximum can be.  Both must give the every-entry value on the
+    # rows standardized first and then sorted, bit for bit: on rows with
     # ties (rounded values), constant rows, and rows shifted so far that the
     # maximum sits at the first (+40) or the last (-40) order statistic.
     z = np.random.default_rng(seed).standard_normal((rows, n)) + shift
@@ -226,9 +230,60 @@ def test_ks_kernel_matches_every_entry_form(n, rows, decimals, constant, shift, 
         z = np.round(z, decimals)
     if constant:
         z[0] = z[0, 0]
-    z.sort(axis=1)
-    want = ks_rows_every_entry(z)
-    assert np.array_equal(screen._ks_of_sorted(z.copy()), want)
+    c = center + np.arange(rows)
+    s = scale * (1.0 + np.arange(rows) / 3)
+    want = ks_rows_every_entry(np.sort((z - c[:, None]) / s[:, None], axis=1))
+    assert np.array_equal(screen._ks_of_sorted(np.sort(z, axis=1), c, s), want)
+
+
+def collapsing_column(n):
+    """n distinct values next to 1.0 and one at 1e20: the column's mean and SD
+    are so large that the distinct values standardize to one value."""
+    col = 1.0 + np.finfo(np.float64).eps * np.arange(n)
+    col[0] = 1e20
+    return col
+
+
+def test_collapsing_column_standardizes_distinct_values_to_one():
+    x = np.stack([collapsing_column(200), np.arange(200.0)], axis=1)
+    w = standardize_columns(x).values
+    assert np.unique(x[1:, 0]).size == 199 and np.unique(w[1:, 0]).size == 1
+
+
+@settings(max_examples=40)
+@given(n=st.sampled_from([2, 3, 71, 143, 144, 145, 577]) | st.integers(2, 300),
+       p=st.sampled_from([1, B - 1, B + 1, 2 * B + 3]) | st.integers(1, 40),
+       layout=st.sampled_from(["C", "F", "strided"]),
+       decimals=st.sampled_from([None, 0, 1]), collapse=st.booleans(),
+       constant=st.lists(st.integers(0, 2 * B + 2), max_size=4),
+       threads=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_ks_scores_of_raw_x_match_every_entry_form(n, p, layout, decimals, collapse,
+                                                    constant, threads, seed):
+    # ks_scores sorts x's columns and never forms W.  Its scores equal the
+    # every-entry form on W's columns standardized first and then sorted,
+    # bit for bit: with constant columns dropped from inside a block, with
+    # ties, with distinct x that standardize to equal values, on either side
+    # of n = 144, and on an F-ordered x (the transposed view that cluster
+    # --transpose passes) and a strided view.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) * 3.0 + 1.5
+    if decimals is not None:
+        x = np.round(x, decimals)
+    if collapse:
+        x[:, rng.integers(p)] = collapsing_column(n)
+    constant = sorted({j for j in constant if j < p})
+    x[:, constant] = 2.5
+    if layout == "F":
+        x = np.ascontiguousarray(x.T).T
+    elif layout == "strided":
+        x = np.repeat(x, 2, axis=1)[:, ::2]
+    if (np.ptp(x, axis=0) == 0).all():
+        return
+    w = standardize_columns(x, drop_constant=True, threads=threads)
+    got = ks_scores(w, threads=threads).scores
+    assert "values" not in vars(w)
+    assert not set(constant) & set(w.kept_columns)
+    assert np.array_equal(got, ks_rows_every_entry(np.sort(w.values.T, axis=1)))
 
 
 def null_table_oracle(n, reps, seed):
