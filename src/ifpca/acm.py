@@ -15,6 +15,10 @@ A0 = math.sqrt((math.pi - 2.0) / (4.0 * math.pi))
 
 SIGNAL_SCALE = 72.0 * math.pi
 
+# Cells of the class means gathered at a time when generate adds them into
+# the noise: 2 MiB of float64, a few rows at paper scale.
+_MEAN_ROWS_CELLS = 1 << 18
+
 
 class _JsonFields:
     """JSON codec of a config dataclass, driven by its fields: to_dict is
@@ -239,8 +243,9 @@ def generate(config, seed):
 
     X = 1 mubar' + L [mu_1..mu_K] + Z, with labels multinomial(delta), useful
     features Bernoulli(p^-vartheta), and mu_K back-solved so the delta-weighted
-    contrast means sum to zero.  X is summed and Z scaled in place, so no
-    n×p temporary is made beyond X and Z.
+    contrast means sum to zero.  Z is scaled in place and the means are
+    added into it a block of rows at a time, so X is Z, in C order, and no
+    n×p temporary is made beside it.
     """
     n, p, k = config.n, config.p, config.k
     rng = np.random.default_rng(seed)
@@ -268,7 +273,9 @@ def generate(config, seed):
         a = correlated_noise_matrix(noise.variant, noise.d, noise.subset_size, p, rng)
         z = rng.standard_normal((n, p))
         z *= sigma
-        z = (a.T @ z.T).T
+        # The product is formed p×n; X is kept in C order, as the column
+        # statistics sum C-ordered blocks in their own order.
+        z = np.ascontiguousarray((a.T @ z.T).T)
     elif noise.kind == "class-scaled":
         if len(noise.class_variances) != k:
             raise InvalidConfig("class-scaled noise needs K variances")
@@ -284,10 +291,13 @@ def generate(config, seed):
     else:
         raise InvalidConfig(f"unknown noise model: {noise.kind}")
 
-    # The sum in IEEE arithmetic commutes: (mu + mubar) + z, in place.
-    x = mu[y - 1]
-    x += mubar
-    x += z
+    # The sum in IEEE arithmetic commutes: z + (mu + mubar) is
+    # (mu + mubar) + z, bit for bit.
+    means = mu + mubar
+    step = max(1, _MEAN_ROWS_CELLS // p)
+    for i in range(0, n, step):
+        z[i:i + step] += means[y[i:i + step] - 1]
+    x = z
     useful = b & (np.abs(mu).max(axis=0) > 0)
     return x, GroundTruth(y=y, mubar=mubar, mu=mu, sigma=sigma, useful=useful)
 

@@ -179,6 +179,8 @@ def simulate_one(cfg, methods, reps, seed, null_cache, null_reps=0, threads=1):
         for m in methods:
             rpt = pipeline.run_pipeline(instance, options[m], truth=truth.y)
             errors[m].append(rpt.error_rate)
+        # This rep's matrix and stages go before the next rep is generated.
+        del x, instance
     return {m: (float(np.mean(v)), float(np.std(v, ddof=1)) if len(v) > 1 else 0.0)
             for m, v in errors.items()}
 

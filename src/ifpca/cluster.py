@@ -166,18 +166,20 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     row space's, within 1e-13 of the total sum of squares of the full-width
     value; centers are per-label means of the input rows, within 1e-13 of
     the largest input entry.  Points whose columns are centered may be given
-    as matrix.Gram(points), whose row space is then formed once for all calls.
+    as a matrix.Gram of them, whose row space is then formed once for all
+    calls, and whose blocks give the centers.
     """
     gram = points if isinstance(points, Gram) else None
-    points = np.asarray(points, dtype=np.float64) if gram is None else gram.rows
-    if points.ndim == 1:
-        points = points[:, None]
-    n = points.shape[0]
+    if gram is None:
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim == 1:
+            points = points[:, None]
+    n, d = points.shape
     if not 1 <= k <= n:
         raise InvalidK(f"K={k} must lie in [1, n={n}]")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if points.shape[1] == 0:
+    if d == 0:
         raise ValueError("points must have at least one column")
     if init not in ("plusplus", "uniform-sample"):
         raise ValueError(f"unknown init: {init}")
@@ -185,8 +187,8 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     # to cancellation when the data sit far from the origin.
     if gram is None:
         coords = points - points.mean(axis=0)
-        if coords.shape[1] > n:
-            gram = Gram(coords)
+        if d > n:
+            gram = Gram.of(coords)
         else:
             sq = np.einsum("ij,ij->i", coords, coords)
     if gram is not None:
@@ -210,9 +212,12 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     labels, space_centers, wcss, best_rep, iters = best
     # A cluster empty at the end keeps the row it was reseeded at, the row of
     # the coordinates at distance 0 from its center.
-    centers = _label_means(
-        points, labels[None], k,
-        lambda _, c: ((coords - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
+    blocks = points.blocks() if isinstance(points, Gram) else [(slice(None), points)]
+    centers = np.empty((k, d))
+    for cols, block in blocks:
+        centers[:, cols] = _label_means(
+            block, labels[None], k,
+            lambda _, c: ((coords - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
     return KmeansResult(labels=labels + 1, centers=centers, wcss=wcss,
                         replicate_id=best_rep, iterations=iters)
 
@@ -227,14 +232,14 @@ def hierarchical_complete(points, k):
     Labels number the clusters by smallest member.  A bare array is first
     translated to put its first row at the origin: far from it, the
     tolerance band of |a|² + |b|² − 2ab′ would swallow the distances.
-    Points whose columns are centered may be given as matrix.Gram(points),
+    Points whose columns are centered may be given as a matrix.Gram of them,
     whose distances d2 are then copied, not formed; a Gram is used as given,
     untranslated, so far from the origin it has lost its distances already.
     """
     if not isinstance(points, Gram):
         points = np.asarray(points, dtype=np.float64)
         points = points[:, None] if points.ndim == 1 else points
-        points = Gram(points - points[:1])
+        points = Gram.of(points - points[:1])
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InvalidK(f"K={k} must lie in [1, n={n}]")

@@ -26,8 +26,8 @@ class StandardizedMatrix:
     W[i, j] = (x[i, k] - col_mean[j]) / col_sd[j] for k = kept_columns[j],
     with col_sd using the n-1 denominator.  kept_columns maps W's columns
     back to x's when constant columns were dropped (identity otherwise).
-    W is not stored: columns(cols) forms the columns a method clusters, and
-    values all of W, on first use.
+    W is not stored: columns(cols) forms the columns asked for, and a Gram
+    sums W·W′ from blocks of them.
     """
 
     x: np.ndarray
@@ -43,24 +43,22 @@ class StandardizedMatrix:
     def p(self):
         return self.kept_columns.size
 
-    def columns(self, cols=None):
-        """W[:, cols] in a new array, cols an index array into W's columns:
-        x's columns gathered row by row (np.take, faster than x[:, cols]) in
-        C order, then centered and scaled in place.  cols=None gives all of
-        W in x's memory order, from x itself when no column was dropped."""
-        if cols is None:
-            cols = slice(None)
-            src = self.x if self.p == self.x.shape[1] else self.x[:, self.kept_columns]
+    def columns(self, cols=slice(None)):
+        """W[:, cols] in a new array, cols a slice or an index array into W's
+        columns, centered and scaled in place.  An index array gathers x's
+        columns row by row (np.take, faster than x[:, cols]) in C order; a
+        slice reads them in x's memory order, from a view of x when no column
+        was dropped."""
+        view = isinstance(cols, slice) and self.p == self.x.shape[1]
+        if view:
+            src = self.x[:, cols]
+        elif isinstance(cols, slice):
+            src = self.x[:, self.kept_columns[cols]]
         else:
             src = np.take(self.x, self.kept_columns[cols], axis=1)
-        w = np.subtract(src, self.col_mean[cols], out=None if src is self.x else src)
+        w = np.subtract(src, self.col_mean[cols], out=None if view else src)
         w /= self.col_sd[cols]
         return w
-
-    @functools.cached_property
-    def values(self):
-        """All of W (n×p), formed by the first read and kept."""
-        return self.columns()
 
 
 @dataclass(frozen=True)
@@ -136,27 +134,39 @@ def standardize_columns(x, drop_constant=False, threads=1):
     return StandardizedMatrix(x=x, col_mean=mean, col_sd=sd, kept_columns=keep)
 
 
-def sq_dists(a, b, a_sq=None, ba=None):
+def sq_dists(a, b, a_sq=None):
     """Squared Euclidean distances between the rows of a (n×p) and of b:
     n×K for b K×p, r×n×K for a stack b r×K×p.  |a|² + |b|² − 2ab′ from one
-    matrix product; a_sq is |a|², and ba the product b a′ (for b = a, the g
-    of Gram), when the caller has them.
+    matrix product; a_sq is |a|² when the caller has it.
 
     The product is b a′, much faster than a b′ for the n×p by p×K product,
     so the distances are formed K×n and returned as a transposed view.
-    Adding the norms first keeps sq_dists(a, a) exactly symmetric.  Values
-    within the rounding error 2(p+2)·eps·(|a|²+|b|²) of 0 are set to 0, so
-    equal rows are at distance 0 and tie exactly.
     """
-    ab2 = np.multiply(b @ a.T if ba is None else ba, 2.0)
     if a_sq is None:
         a_sq = np.einsum("ij,ij->i", a, a)
     b_sq = a_sq if b is a else np.einsum("...j,...j->...", b, b)
+    return _sq_dists_of(a_sq, b_sq, b @ a.T, a.shape[1])
+
+
+def _sq_dists_of(a_sq, b_sq, ba, p):
+    """sq_dists from the norms and the product ba = b a′ of rows of width p.
+    Adding the norms first keeps the distances of a to itself exactly
+    symmetric.  Values within the rounding error 2(p+2)·eps·(|a|²+|b|²) of 0
+    are set to 0, so equal rows are at distance 0 and tie exactly."""
+    ab2 = np.multiply(ba, 2.0)
     d2 = b_sq[..., None] + a_sq
-    tol = d2 * (2 * (a.shape[1] + 2) * np.finfo(np.float64).eps)
+    tol = d2 * (2 * (p + 2) * np.finfo(np.float64).eps)
     d2 -= ab2
     d2[d2 <= tol] = 0.0
     return np.swapaxes(d2, -1, -2)
+
+
+# Cells of W per block a Gram is summed from: 4 MiB of float64, about 900
+# columns at n=577.  More, smaller products cost time: at n=577 on two cores
+# these blocks formed the Gram of 5,000 or 20,000 columns 15-18 % slower
+# than one product of all of them, which holds 23 or 92 MB.  A W of at most
+# this many cells is one block, whose Gram is the one product W·W′.
+GRAM_CELLS = 1 << 19
 
 
 class Gram:
@@ -166,12 +176,37 @@ class Gram:
     cluster.kmeans and cluster.hierarchical_complete take it in place of W.
     W's columns must be centered for the last two: d2 is |a|² + |b|² − 2ab′,
     whose rounding error grows with the distance of the rows from the origin.
+
+    W is given by its `shape` and by `columns(s)`, which forms W[:, s] for a
+    slice s of its columns; Gram.of(w) takes an array.  g and sq are sums
+    over blocks of at most GRAM_CELLS cells, each formed, multiplied and
+    dropped, so W is never held whole.  blocks() forms them again for the
+    readers of W's entries: row_space's check of rows at distance 0 and the
+    centers of cluster.kmeans.
     """
 
-    def __init__(self, rows):
-        self.rows, self.shape = rows, rows.shape
-        self.g = rows @ rows.T
-        self.sq = np.einsum("ij,ij->i", rows, rows)
+    def __init__(self, columns, shape):
+        self.columns, self.shape = columns, tuple(shape)
+        n, p = self.shape
+        step = max(1, GRAM_CELLS // max(n, 1))
+        self.slices = [slice(j, min(j + step, p)) for j in range(0, max(p, 1), step)]
+        for s in self.slices:
+            b = columns(s)
+            if s.start == 0:
+                self.g, self.sq = b @ b.T, np.einsum("ij,ij->i", b, b)
+            else:
+                self.g += b @ b.T
+                self.sq += np.einsum("ij,ij->i", b, b)
+            del b       # before the next block is formed
+
+    @classmethod
+    def of(cls, w):
+        return cls(lambda s: w[:, s], w.shape)
+
+    def blocks(self):
+        """(s, W[:, s]) for each block s of W's columns, formed anew."""
+        for s in self.slices:
+            yield s, self.columns(s)
 
     @functools.cached_property
     def eigh(self):
@@ -180,7 +215,20 @@ class Gram:
     @functools.cached_property
     def d2(self):
         """sq_dists(W, W): n×n, exactly symmetric, 0 within its tolerance band."""
-        return sq_dists(self.rows, self.rows, self.sq, self.g)
+        return _sq_dists_of(self.sq, self.sq, self.g, self.shape[1])
+
+    def _row_classes(self):
+        """Class ids of W's rows, equal for rows equal in every entry: refined
+        block by block by the bytes of the block's rows (adding 0.0 turns
+        -0.0 into 0.0, so that equal bytes are equal values)."""
+        n = self.shape[0]
+        ids = np.zeros(n, dtype=np.intp)
+        for _, b in self.blocks():
+            b = np.ascontiguousarray(b + 0.0)
+            rows = b.view(np.dtype((np.void, b.itemsize * b.shape[1])))[:, 0]
+            ids = np.unique(ids * n + np.unique(rows, return_inverse=True)[1],
+                            return_inverse=True)[1]
+        return ids
 
     @functools.cached_property
     def row_space(self):
@@ -190,15 +238,18 @@ class Gram:
         and the same distances to any mean of them (classical MDS, Torgerson
         1952).
 
-        Equal rows get bit-equal rows of Y, so exact ties stay exact.  Rows
-        at distance 0 in d2 are compared; when every row is distinct, Q and
-        Λ are g's own eigh.
+        Equal rows get bit-equal rows of Y, so exact ties stay exact.  Only
+        rows at distance 0 in d2 are compared; when every row is distinct, Q
+        and Λ are g's own eigh.
         """
-        n = len(self.rows)
+        n = self.shape[0]
         first = np.arange(n)        # the lowest index of each row's equal rows
-        for i, j in zip(*np.nonzero(np.triu(self.d2 == 0, 1))):
-            if first[i] == i and first[j] == j and np.array_equal(self.rows[i], self.rows[j]):
-                first[j] = i
+        pairs = np.argwhere(np.triu(self.d2 == 0, 1))
+        if len(pairs):
+            ids = self._row_classes()
+            for i, j in pairs[ids[pairs[:, 0]] == ids[pairs[:, 1]]]:
+                if first[i] == i and first[j] == j:
+                    first[j] = i
         distinct = first == np.arange(n)
         lam, q = self.eigh if distinct.all() else \
             np.linalg.eigh(self.g[np.ix_(distinct, distinct)])
@@ -229,13 +280,14 @@ def truncated_left_svd(a, k):
     threads than cores and slow the interpreter thread.
     """
     gram = a if isinstance(a, Gram) else None
-    a = np.asarray(a if gram is None else a.rows, dtype=np.float64)
+    if gram is None:
+        a = np.asarray(a, dtype=np.float64)
     n, p = a.shape
     if not 1 <= k <= min(n, p):
         raise ValueError(f"k={k} must lie in [1, min(n, p)={min(n, p)}]")
 
     if gram is None and n <= p:
-        gram = Gram(a)
+        gram = Gram.of(a)
     evals, vecs = np.linalg.eigh(a.T @ a) if gram is None else gram.eigh
     kb = min(k + 1, len(evals))
     eigs, q = evals[::-1][:kb], vecs[:, ::-1][:, :kb]

@@ -124,9 +124,9 @@ class Instance:
     column statistics (a matrix.StandardizedMatrix), the raw KS scores and,
     for p > n, the matrix.Gram of the standardized matrix W.  Each is formed,
     and timed, by the first call on the instance that needs it, once per
-    drop_constant setting.  The screened methods form only the selected
-    columns of W; W is formed whole, and kept, by the first unscreened run,
-    inside the Gram stage when p > n."""
+    drop_constant setting.  No stage keeps W: the Gram is summed from blocks
+    of its columns, and a screened run forms the Gram of its selected
+    columns the same way, or those columns when they are no more than n."""
 
     def __init__(self, x):
         self.x = x
@@ -203,17 +203,25 @@ def run_pipeline(x, opts, truth=None):
     w = inst._stage("standardize", opts, timings, lambda: matrix.standardize_columns(
         inst.x, drop_constant=opts.drop_constant, threads=opts.threads))
 
+    # A matrix wider than tall is clustered through the Gram of its
+    # columns, which is summed from blocks of them; a narrower one is formed.
     screened, clusterer = _METHODS[opts.method]
     if screened:
         cols, threshold, j_hat = _select(inst, w, opts, timings)
-        data = w.columns(cols)
+        if cols.size > w.n:
+            t0 = time.perf_counter()
+            data = matrix.Gram(lambda s: w.columns(cols[s]), (w.n, cols.size))
+            timings["gram"] = time.perf_counter() - t0
+        else:
+            data = w.columns(cols)
     else:
         # slice(None) takes every column as a view, without a copy.
         cols, threshold, j_hat = slice(None), -math.inf, None
         if w.p > w.n:
-            data = inst._stage("gram", opts, timings, lambda: matrix.Gram(w.values))
+            data = inst._stage("gram", opts, timings,
+                               lambda: matrix.Gram(w.columns, (w.n, w.p)))
         else:
-            data = w.values
+            data = w.columns()
     labels = _cluster(data, clusterer, opts, w.p, timings)
 
     err = None

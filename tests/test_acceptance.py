@@ -207,8 +207,8 @@ def test_acceptance_6_invariants():
 
     # standardization idempotence
     x = rng.standard_normal((50, 20)) * 3.0 + 1.0
-    w = standardize_columns(x).values
-    w2 = standardize_columns(w).values
+    w = standardize_columns(x).columns()
+    w2 = standardize_columns(w).columns()
     std_ok = bool(np.allclose(w, w2, atol=1e-12))
 
     # generator zero-sum identity

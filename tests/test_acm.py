@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from ifpca import acm
 from ifpca.acm import (
     A0,
     AcmConfig,
@@ -199,6 +202,39 @@ def test_generate_in_place_sum_matches_expression(monkeypatch, noise):
     else:
         z = (raw - 6.0) / math.sqrt(12.0)
     assert np.array_equal(x, truth.mubar[None, :] + truth.mu[truth.y - 1] + z)
+
+
+# SHA-256 of the bytes of x from generate at p=600, seed [11, i], for the
+# last config of each preset and for every noise model of experiments 4 and 5
+# (config i), as recorded before the means were added into the noise in
+# blocks of rows.
+GENERATE_SHA256 = {
+    ("1a", 7): "f5a99a98c3a9e0128ae44109867e9bc7bf23fb58516d0bf5c46abbf26f21396a",
+    ("1b", 7): "324a88b6d82911b289a00cf2f48796e6d70b377a7fa93d56b534d50426b07460",
+    ("2a", 3): "da95cb04b8f051d9cd6126af8229f72ac9fb7e76e175e721d14273825feab35b",
+    ("2b", 3): "2dfe902ea57aff244c4e4e812a82d3fac28ea7f059cb4ee920c1c1acfdb1fafe",
+    ("3", 15): "79bbb55d1a0049dd2d323f27287e636595f60a7f73ec2af1e1e0dec49433312f",
+    ("4", 0): "5be1662eb9e09dccb9760361e27a4241f93996a75d7bf053957cdc5fb591db5a",
+    ("4", 1): "5644270c7d0c25cc923e6448b62c7fd29f4204fba2ca3bbf17b1a8475f248f42",
+    ("4", 2): "3205c5c2c5e313f282918c466d035da213bec34789f6a344a3ebccefe9dd061e",
+    ("5", 0): "5b136355fd317353036a4898d07cf8014d3813a039e8352e787d9380f0db42d9",
+    ("5", 1): "40f5dd5fb333923df1d31dc7e92bf47978f0854ea6594601640f6fb8167ba1e4",
+    ("5", 2): "c121970eae37526300d8abcfe62b4ff50d49939b2b59e22a1af89ee629dbc55d",
+}
+
+
+@pytest.mark.parametrize("exp, i", sorted(GENERATE_SHA256))
+@pytest.mark.parametrize("rows", [None, 5])
+def test_generate_is_pinned_and_c_ordered(monkeypatch, exp, i, rows):
+    # The class means are added into the noise a block of rows at a time (by
+    # default all 24 or 46 rows at p=600; also 5 rows at a time): x is the
+    # same bytes, in C order, which the column statistics' sums depend on.
+    if rows is not None:
+        monkeypatch.setattr(acm, "_MEAN_ROWS_CELLS", rows * 600)
+    cfg = dataclasses.replace(experiment_preset(exp)[i], p=600)
+    x, _ = generate(cfg, seed=[11, i])
+    assert x.flags.c_contiguous
+    assert hashlib.sha256(x.tobytes()).hexdigest() == GENERATE_SHA256[exp, i]
 
 
 def test_class_scaled_noise_requires_k_variances():

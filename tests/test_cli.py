@@ -533,10 +533,9 @@ def test_simulate_one_shares_stages_across_methods(monkeypatch):
     counting(matrix, "standardize_columns")
     counting(screen, "ks_scores")
     counting(matrix.Gram, "__init__",
-             lambda gram, rows: full_width(rows) and (grams.append(gram) or True))
+             lambda gram, columns, shape: shape[1] == cfg.p and (grams.append(gram) or True))
     counting(np.linalg, "eigh", of_gram)
-    for owner in (matrix, cluster):
-        counting(owner, "sq_dists", lambda a, b, a_sq=None, ba=None: of_gram(ba))
+    counting(matrix, "_sq_dists_of", lambda a_sq, b_sq, ba, p: of_gram(ba))
     for owner, name in ((matrix, "truncated_left_svd"), (cluster, "kmeans"),
                         (cluster, "hierarchical_complete")):
         counting(owner, name, full_width)
@@ -544,7 +543,7 @@ def test_simulate_one_shares_stages_across_methods(monkeypatch):
     cli.simulate_one(cfg, cli.SIMULATE_METHODS, 2, 0, null_cache)
     assert cfg.p > cfg.n
     assert +calls == {"standardize_columns": 2, "ks_scores": 2, "__init__": 2,
-                      "eigh": 2, "sq_dists": 2}
+                      "eigh": 2, "_sq_dists_of": 2}
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -305,7 +305,7 @@ def test_gram_distances_are_the_product_distances():
     for _ in range(50):
         base = rng.standard_normal((int(rng.integers(2, 12)), int(rng.integers(1, 300))))
         w = base[rng.integers(0, len(base), size=int(rng.integers(2, 30)))]
-        assert np.array_equal(Gram(w).d2, sq_dists(w, w[:]))
+        assert np.array_equal(Gram.of(w).d2, sq_dists(w, w[:]))
 
 
 @st.composite

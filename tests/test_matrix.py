@@ -2,18 +2,19 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifpca import matrix
+from ifpca.cluster import kmeans
 from ifpca.errors import DegenerateGapWarning, ZeroVarianceColumn
-from ifpca.matrix import (SpectralEmbedding, entrywise_truncate,
+from ifpca.matrix import (Gram, SpectralEmbedding, entrywise_truncate,
                           standardize_columns, truncated_left_svd)
 
 
 def test_standardize_symmetric_column():
     w = standardize_columns(np.array([[1.0], [2.0], [3.0]]))
-    np.testing.assert_allclose(w.values[:, 0], [-1.0, 0.0, 1.0])
+    np.testing.assert_allclose(w.columns()[:, 0], [-1.0, 0.0, 1.0])
     assert w.col_mean[0] == 2.0
     assert w.col_sd[0] == 1.0
 
@@ -54,19 +55,19 @@ def test_standardize_constant_column_whose_mean_rounds(value, n):
     w = standardize_columns(x, drop_constant=True)
     assert np.array_equal(w.kept_columns, [0, 1, 3])
     keep = [0, 1, 3]
-    assert np.array_equal(w.values, (x[:, keep] - x.mean(0)[keep]) / x.std(0, ddof=1)[keep])
+    assert np.array_equal(w.columns(), (x[:, keep] - x.mean(0)[keep]) / x.std(0, ddof=1)[keep])
 
 
 def test_standardize_two_point_column():
     # mean 1, sd sqrt(2) with the n-1 denominator
     w = standardize_columns(np.array([[0.0], [2.0]]))
-    np.testing.assert_allclose(w.values[:, 0], [-0.70711, 0.70711], atol=5e-6)
+    np.testing.assert_allclose(w.columns()[:, 0], [-0.70711, 0.70711], atol=5e-6)
 
 
 def test_standardize_drop_constant_records_map():
     x = np.array([[5.0, 1.0, 7.0], [5.0, 2.0, 8.0], [5.0, 3.0, 9.0]])
     w = standardize_columns(x, drop_constant=True)
-    assert w.values.shape == (3, 2)
+    assert w.columns().shape == (3, 2)
     np.testing.assert_array_equal(w.kept_columns, [1, 2])
 
 
@@ -74,8 +75,8 @@ def test_standardize_columns_have_zero_mean_unit_sd():
     rng = np.random.default_rng(1)
     x = rng.normal(3.0, 5.0, size=(50, 20))
     w = standardize_columns(x)
-    assert np.abs(w.values.mean(axis=0)).max() < 1e-10 * 50
-    np.testing.assert_allclose(w.values.std(axis=0, ddof=1), 1.0, atol=1e-8)
+    assert np.abs(w.columns().mean(axis=0)).max() < 1e-10 * 50
+    np.testing.assert_allclose(w.columns().std(axis=0, ddof=1), 1.0, atol=1e-8)
 
 
 @given(n=st.integers(2, 30), p=st.integers(1, 30),
@@ -104,12 +105,12 @@ def test_standardize_matches_literal_formula(n, p, constant, last_constant, bloc
         w = standardize_columns(x, drop_constant=True, threads=threads)
         full = standardize_columns(x, threads=threads) if keep.size == p else None
     want = (x[:, keep] - x.mean(0)[keep]) / x.std(0, ddof=1)[keep]
-    assert np.array_equal(w.values, want)
+    assert np.array_equal(w.columns(), want)
     assert np.array_equal(w.col_mean, x.mean(0)[keep])
     assert np.array_equal(w.col_sd, x.std(0, ddof=1)[keep])
     assert np.array_equal(w.kept_columns, keep)
     if full is not None:
-        assert np.array_equal(full.values, want)
+        assert np.array_equal(full.columns(), want)
 
 
 def test_standardize_blocks_on_more_threads_than_cores(monkeypatch):
@@ -125,7 +126,7 @@ def test_standardize_blocks_on_more_threads_than_cores(monkeypatch):
         got = standardize_columns(x, threads=8)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.columns(), want.columns())
     assert np.array_equal(got.col_mean, want.col_mean)
     assert np.array_equal(got.col_sd, want.col_sd)
 
@@ -134,8 +135,95 @@ def test_standardize_idempotent():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((30, 10)) * 4 + 1
     w = standardize_columns(x)
-    w2 = standardize_columns(w.values)
-    np.testing.assert_allclose(w2.values, w.values, atol=1e-8)
+    w2 = standardize_columns(w.columns())
+    np.testing.assert_allclose(w2.columns(), w.columns(), atol=1e-8)
+
+
+# Bound of a Gram summed over several blocks of columns against the one
+# product W·W′, relative to the largest entry of g (of sq for the row norms).
+GRAM_BLOCK_RTOL = 1e-13
+
+
+def _standardized(seed, n, p, order):
+    """A StandardizedMatrix of an n×p x in C or F order, with two constant
+    columns dropped, so that its columns are gathered, not sliced, from x."""
+    x = np.random.default_rng(seed).standard_normal((n, p + 2)) * 3.0 + 1.0
+    x[:, [0, p // 2 + 1]] = 4.0
+    return standardize_columns(np.asarray(x, order=order), drop_constant=True)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), p=st.integers(1, 200),
+       order=st.sampled_from("CF"))
+def test_gram_of_one_block_is_the_one_product(seed, n, p, order):
+    # A W of at most GRAM_CELLS cells is one block: g and sq are bit for bit
+    # those of W·W′ and the einsum row norms, from an array or from the
+    # column statistics, whose slice of every column is W in x's layout.
+    w = _standardized(seed, n, p, order)
+    a = w.columns()
+    for gram in (Gram.of(a), Gram(w.columns, a.shape)):
+        assert len(gram.slices) == 1
+        assert np.array_equal(gram.g, a @ a.T)
+        assert np.array_equal(gram.sq, np.einsum("ij,ij->i", a, a))
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), p=st.integers(2, 200),
+       width=st.integers(1, 50), order=st.sampled_from("CF"))
+def test_gram_summed_over_blocks_matches_the_one_product(seed, n, p, width, order):
+    w = _standardized(seed, n, p, order)
+    a = w.columns()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "GRAM_CELLS", n * width)
+        cols = np.random.default_rng(seed).permutation(p)[:max(1, p // 2)]
+        for gram, want in ((Gram(w.columns, a.shape), a),
+                           (Gram(lambda s: w.columns(cols[s]), (n, cols.size)), a[:, cols])):
+            assert len(gram.slices) == -(-want.shape[1] // width)
+            g = want @ want.T
+            sq = np.einsum("ij,ij->i", want, want)
+            assert np.abs(gram.g - g).max() <= GRAM_BLOCK_RTOL * np.abs(g).max()
+            assert np.abs(gram.sq - sq).max() <= GRAM_BLOCK_RTOL * sq.max()
+            for (s, block), edge in zip(gram.blocks(), gram.slices):
+                assert s == edge and np.array_equal(block, want[:, s])
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), p=st.integers(2, 120),
+       distinct=st.integers(1, 24), width=st.integers(1, 40))
+def test_gram_row_space_ties_equal_rows_across_blocks(seed, n, p, distinct, width):
+    # Rows equal in every block get bit-equal row-space coordinates; rows
+    # that differ in one entry of one block by less than the distance
+    # tolerance are at distance 0 in d2, and stay apart.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((min(distinct, n), p))
+    w = base[rng.integers(0, len(base), size=n)]
+    near = rng.integers(0, n, size=n // 3)
+    w[near, rng.integers(0, p, size=near.size)] += 1e-12
+    w -= w.mean(axis=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "GRAM_CELLS", n * width)
+        gram = Gram.of(w)
+    coords = gram.row_space[0]
+    equal = (w[:, None] == w[None]).all(axis=2)
+    assert ((coords[:, None] == coords[None]).all(axis=2) == equal).all()
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), p=st.integers(31, 150),
+       k=st.integers(1, 3), width=st.integers(1, 40), order=st.sampled_from("CF"))
+def test_gram_kmeans_centers_are_label_means_of_the_blocks(seed, n, p, k, width, order):
+    # kmeans on a Gram returns per-label means of W's rows, formed block by
+    # block, within the documented 1e-13 of the largest entry of W.
+    w = _standardized(seed, n, p, order)
+    a = w.columns()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "GRAM_CELLS", n * width)
+        res = kmeans(Gram(w.columns, a.shape), k, replicates=2, seed=seed % 7)
+    for c in range(k):
+        members = res.labels == c + 1
+        if members.any():
+            assert np.abs(res.centers[c] - a[members].mean(axis=0)).max() <= \
+                1e-13 * np.abs(a).max()
 
 
 def test_svd_rank_one():

@@ -121,7 +121,7 @@ def test_truncate_clusters_the_clipped_embedding(method):
     rep = run_pipeline(x, PipelineOptions(k=2, method=method, norm="none",
                                           threshold="fixed:1.0", truncate=True,
                                           seed=2))
-    emb = truncated_left_svd(standardize_columns(x).values[:, rep.selected - 1], 1)
+    emb = truncated_left_svd(standardize_columns(x).columns()[:, rep.selected - 1], 1)
     clipped = entrywise_truncate(emb, math.log(60) / math.sqrt(120))
     assert not np.array_equal(clipped.u, emb.u)
     np.testing.assert_array_equal(rep.labels, kmeans(clipped.u, 2, seed=2).labels)
@@ -271,8 +271,8 @@ def test_gram_stage_matches_bare_array(seed, n, extra, distinct, k):
         opts = PipelineOptions(k=k, method=method, replicates=3, seed=seed % 5)
         assert _outcome(instance, opts, None) == _outcome(x, opts, None)
 
-    w = standardize_columns(x).values
-    gram = Gram(w)
+    w = standardize_columns(x).columns()
+    gram = Gram.of(w)
     assert np.array_equal(hierarchical_complete(gram, k), hierarchical_complete(w, k))
     a, b = truncated_left_svd(gram, k), truncated_left_svd(w, k)
     assert np.array_equal(a.u, b.u)
@@ -303,16 +303,24 @@ def test_screened_path_allocates_no_n_by_p_array(call):
     assert peak < x.nbytes / 2
 
 
-def test_ifpca_runs_never_form_the_whole_standardized_matrix(null120):
-    x, y = two_class_data()
-    instance = Instance(x)
-    for threshold in ("hc", "fixed:1.0"):
-        run_pipeline(instance, PipelineOptions(k=2, threshold=threshold,
-                                               null_table=null120), truth=y)
-    w = instance._stages[("standardize", False)]
-    assert "values" not in vars(w)
-    run_pipeline(instance, PipelineOptions(k=2, method="pca"))
-    assert "values" in vars(w)
+def test_no_method_forms_the_wide_standardized_matrix(monkeypatch):
+    # Wider than n, W and the selected W_S are clustered through their Gram,
+    # summed from blocks of 200 columns (64 KB at n=40): every method's
+    # traced peak stays under half of one n×p array (1.9 MB; KS's blocks of
+    # 512 columns take about 0.5 MB), and a screened run times its Gram as
+    # the unscreened ones do.
+    monkeypatch.setattr(matrix, "GRAM_CELLS", 40 * 200)
+    x, _ = two_class_data(n=40, p=6000)
+    for method in METHODS:
+        opts = PipelineOptions(k=2, method=method, threshold="fixed:0", replicates=3)
+        tracemalloc.start()
+        try:
+            report = run_pipeline(x, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2, method
+        assert report.selected.size > 40 and "gram" in report.timings
 
 
 @settings(max_examples=20)
@@ -323,9 +331,9 @@ def test_pipeline_gram_merges_as_the_bare_array_far_from_the_origin(seed, k):
     # the uncentered points would lose every distance to rounding).
     x = np.random.default_rng(seed).standard_normal((30, 40)) + 1e8
     report = run_pipeline(Instance(x), PipelineOptions(k=k, method="hier"))
-    w = standardize_columns(x).values
+    w = standardize_columns(x).columns()
     assert np.array_equal(report.labels, hierarchical_complete(w, k))
-    assert np.array_equal(hierarchical_complete(Gram(w), k), report.labels)
+    assert np.array_equal(hierarchical_complete(Gram.of(w), k), report.labels)
 
 
 def test_run_is_deterministic(null120):

