@@ -5,8 +5,6 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import ndtr, ndtri
 
 from .errors import InvalidConfig, UnknownExperiment
 
@@ -98,6 +96,7 @@ class DistributionSpec(_JsonFields):
             m, s2 = self.params
             return m + math.sqrt(s2) * rng.standard_normal(size)
         if self.kind == "truncnormal":
+            from scipy.special import ndtr, ndtri
             u, b2, a = self.params
             b = math.sqrt(b2)
             lo, hi = ndtr(-a / b), ndtr(a / b)
@@ -230,6 +229,7 @@ def correlated_noise_matrix(variant, d, subset_size, p, rng):
         rows, cols = np.r_[rows, pool + (pool >= col)], np.r_[cols, col]  # skip the diagonal
     else:
         raise InvalidConfig(f"unknown correlation variant: {variant}")
+    from scipy import sparse
     return sparse.csc_array((np.where(rows == cols, 1.0, d), (rows, cols)), shape=(p, p))
 
 

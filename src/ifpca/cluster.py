@@ -2,10 +2,10 @@
 complete-linkage agglomerative clustering, and relabeling-minimized Hamming error."""
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidK
 from .matrix import Gram, sq_dists
@@ -20,10 +20,16 @@ GROUP_CELLS = 1 << 14
 @dataclass(frozen=True)
 class KmeansResult:
     labels: np.ndarray          # in {1..K}
-    centers: np.ndarray
     wcss: float
     replicate_id: int
     iterations: int
+    # The K×d centers or, for points given as a matrix.Gram, a function that
+    # forms them, called once, on the first read of `centers`.
+    center_means: np.ndarray | Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def centers(self):
+        return self.center_means() if callable(self.center_means) else self.center_means
 
 
 def _assign(points, x_sq, centers):
@@ -167,7 +173,10 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     value; centers are per-label means of the input rows, within 1e-13 of
     the largest input entry.  Points whose columns are centered may be given
     as a matrix.Gram of them, whose row space is then formed once for all
-    calls, and whose blocks give the centers.
+    calls, and whose blocks give the centers.  Those are formed on the first
+    read of the result's `centers`, which the pipeline never makes, so the
+    result keeps the Gram, and the data behind it must not change before
+    then.  The centers of an array are formed before kmeans returns.
     """
     gram = points if isinstance(points, Gram) else None
     if gram is None:
@@ -210,16 +219,21 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
         if best is None or wcss[i] < best[2]:
             best = labels[i], centers[i], float(wcss[i]), first + i, int(iters[i])
     labels, space_centers, wcss, best_rep, iters = best
-    # A cluster empty at the end keeps the row it was reseeded at, the row of
-    # the coordinates at distance 0 from its center.
-    blocks = points.blocks() if isinstance(points, Gram) else [(slice(None), points)]
-    centers = np.empty((k, d))
-    for cols, block in blocks:
-        centers[:, cols] = _label_means(
-            block, labels[None], k,
-            lambda _, c: ((coords - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
-    return KmeansResult(labels=labels + 1, centers=centers, wcss=wcss,
-                        replicate_id=best_rep, iterations=iters)
+
+    def center_means():
+        # A cluster empty at the end keeps the row it was reseeded at, the row
+        # of the coordinates at distance 0 from its center.
+        blocks = points.blocks() if isinstance(points, Gram) else [(slice(None), points)]
+        centers = np.empty((k, d))
+        for cols, block in blocks:
+            centers[:, cols] = _label_means(
+                block, labels[None], k,
+                lambda _, c: ((coords - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
+        return centers
+
+    return KmeansResult(labels=labels + 1, wcss=wcss, replicate_id=best_rep,
+                        iterations=iters, center_means=center_means
+                        if isinstance(points, Gram) else center_means())
 
 
 def hierarchical_complete(points, k):
@@ -279,6 +293,7 @@ def hamming_error(yhat, y, k):
     # Confusion counts: C[a, b] = #{i : yhat_i = a+1, y_i = b+1}.
     conf = np.zeros((k, k), dtype=np.int64)
     np.add.at(conf, (yhat - 1, y - 1), 1)
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(conf, maximize=True)
     best = int(conf[rows, cols].sum())
     return (n - best) / n

@@ -5,7 +5,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._parallel import parallel_map
 from .errors import EmptySelection, ZeroSpread
@@ -74,6 +73,10 @@ def _ks_of_sorted(srt, center, scale):
     less 1e-12, are evaluated in full.  Every candidate for the maximum is
     the same expression as on the every-entry path, so the result is too.
     """
+    # ks_scores and build_null_table make the first import before their
+    # workers start.
+    from scipy.special import ndtr
+
     def phi_at(v, c, s):
         # Phi((v - c) / s), in place: v is a copy or srt itself.  A zero
         # center (the null draws, centered already) is not subtracted:
@@ -130,6 +133,9 @@ def ks_scores(w, threads=1):
         blk.sort(axis=1)
         return _ks_of_sorted(blk, w.col_mean[cols], w.col_sd[cols])
 
+    # The kernel's scipy.special, imported on this thread before the workers
+    # start, so that no two of them make the first import at once.
+    import scipy.special  # noqa: F401
     blocks = parallel_map(score_block, range(0, w.p, _KS_BLOCK), threads)
     return KsScores(scores=np.concatenate(list(blocks)), n=w.n)
 
@@ -174,6 +180,8 @@ def build_null_table(n, reps, seed, threads=1):
             rng.standard_normal(out=z)
             values[lo:lo + z.shape[0]] = _null_psi_batch(z)
 
+    # As in ks_scores: the kernel's import, before the workers start.
+    import scipy.special  # noqa: F401
     for _ in parallel_map(fill_chunk, range(0, reps, chunk), threads):
         pass
     values.sort()

@@ -121,6 +121,19 @@ def test_kmeans_k1_is_mean():
     assert res.wcss == pytest.approx(((pts - pts.mean(axis=0)) ** 2).sum())
 
 
+@pytest.mark.parametrize("shape", [(30, 4), (12, 40)], ids=["tall", "wide"])
+def test_kmeans_array_centers_do_not_follow_later_changes(shape):
+    # An array's centers are formed before kmeans returns: changing the input
+    # afterwards leaves them the label means of the rows as they were.
+    pts = np.random.default_rng(4).standard_normal(shape)
+    want = pts.copy()
+    res = kmeans(pts, 3, replicates=2, seed=0)
+    pts[:] = 0.0
+    for c in range(3):
+        np.testing.assert_allclose(res.centers[c],
+                                   want[res.labels == c + 1].mean(axis=0), atol=1e-12)
+
+
 def test_kmeans_k_equals_n():
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((6, 2))

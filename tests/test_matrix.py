@@ -226,6 +226,28 @@ def test_gram_kmeans_centers_are_label_means_of_the_blocks(seed, n, p, k, width,
                 1e-13 * np.abs(a).max()
 
 
+def test_gram_kmeans_forms_centers_on_first_read():
+    # kmeans on a Gram forms no block of W until its centers are read, and
+    # then once.
+    w = _standardized(3, 20, 90, "C")
+    formed = []
+
+    def columns(s):
+        formed.append(s)
+        return w.columns(s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "GRAM_CELLS", 20 * 30)
+        gram = Gram(columns, (w.n, w.p))
+    assert len(gram.slices) == 3
+    del formed[:]
+    res = kmeans(gram, 3, replicates=2, seed=1)
+    assert formed == []
+    centers = res.centers
+    assert res.centers is centers
+    assert formed == gram.slices
+
+
 def test_svd_rank_one():
     u = np.array([3.0, 4.0])
     v = np.array([1.0, -2.0, 2.0])
