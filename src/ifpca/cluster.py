@@ -277,23 +277,65 @@ def hierarchical_complete(points, k):
     return np.unique(owner, return_inverse=True)[1] + 1
 
 
+def _max_assignment(w):
+    """Largest sum of w[i, σ(i)] over the permutations σ of a square integer
+    matrix: Kuhn's Hungarian method in its O(K³) shortest-augmenting-path
+    form.  Row i joins the matching along a shortest path (Dijkstra over
+    the reduced costs −w − u − v ≥ 0, one vectorized step per column
+    reached) from a root column K that stands for it.
+    """
+    k = len(w)
+    u = np.zeros(k, dtype=np.int64)        # row potentials
+    v = np.zeros(k + 1, dtype=np.int64)    # column potentials, root last
+    row_of = np.full(k + 1, -1)            # the row matched to each column
+    for i in range(k):
+        row_of[k] = i
+        col = k
+        dist = np.full(k, np.iinfo(np.int64).max)
+        via = np.empty(k, dtype=np.intp)   # previous column on the path
+        reached = np.zeros(k + 1, dtype=bool)
+        while row_of[col] >= 0:
+            reached[col] = True
+            r = row_of[col]
+            free = ~reached[:k]
+            reduced = -w[r] - u[r] - v[:k]
+            closer = free & (reduced < dist)
+            dist[closer] = reduced[closer]
+            via[closer] = col
+            col = np.flatnonzero(free)[dist[free].argmin()]
+            delta = dist[col]
+            u[row_of[reached]] += delta
+            v[reached] -= delta
+            dist[free] -= delta
+        while col != k:
+            row_of[col] = row_of[via[col]]
+            col = via[col]
+    return int(w[row_of[:k], np.arange(k)].sum())
+
+
 def hamming_error(yhat, y, k):
     """Fraction of mismatches, minimized over all K! relabelings of the truth.
 
     The best relabeling is a maximum-weight assignment on the confusion
-    matrix (Kuhn 1955), exact for any K.
+    matrix (Kuhn 1955), exact for any K.  The labels must be 1-D integer
+    vectors of one non-zero length with entries in 1..K; ValueError
+    otherwise.
     """
     yhat = np.asarray(yhat)
     y = np.asarray(y)
+    if yhat.ndim != 1 or y.ndim != 1:
+        raise ValueError("labels must be 1-D vectors")
+    if not all(np.issubdtype(v.dtype, np.integer) for v in (yhat, y)):
+        raise ValueError("labels must be integers")
     if yhat.size != y.size:
         raise ValueError("label vectors must have equal length")
+    if not y.size:
+        raise ValueError("label vectors must not be empty")
     if not all(((v >= 1) & (v <= k)).all() for v in (yhat, y)):
         raise ValueError(f"labels must lie in 1..{k}")
     n = y.size
-    # Confusion counts: C[a, b] = #{i : yhat_i = a+1, y_i = b+1}.
-    conf = np.zeros((k, k), dtype=np.int64)
-    np.add.at(conf, (yhat - 1, y - 1), 1)
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(conf, maximize=True)
-    best = int(conf[rows, cols].sum())
-    return (n - best) / n
+    # Confusion counts: C[a, b] = #{i : yhat_i = a+1, y_i = b+1}.  The cell
+    # index is formed in intp, as a narrow label dtype could overflow.
+    cells = (yhat.astype(np.intp) - 1) * k + (y.astype(np.intp) - 1)
+    conf = np.bincount(cells, minlength=k * k).reshape(k, k)
+    return (n - _max_assignment(conf)) / n

@@ -277,9 +277,9 @@ def truncated_left_svd(a, k):
     The solver is numpy's, here and in Gram: numpy and scipy each load
     their own OpenBLAS, and each keeps worker threads spinning for a while
     after a call, so calling both in one pipeline can leave more busy
-    threads than cores and slow the interpreter thread.  Of scipy's BLAS
-    and LAPACK wrappers (scipy.linalg), only cluster.hamming_error loads
-    any, through scipy.optimize.
+    threads than cores and slow the interpreter thread.  No run loads
+    scipy.linalg.  scipy.special, which the KS statistic imports, maps
+    scipy's OpenBLAS and starts one idle worker thread, but calls none of it.
     """
     gram = a if isinstance(a, Gram) else None
     if gram is None:

@@ -595,3 +595,42 @@ def test_hamming_symmetric_under_relabeling():
 def test_hamming_rejects_labels_outside_1_to_k(yhat, y):
     with pytest.raises(ValueError, match="1..2"):
         hamming_error(np.array(yhat), np.array(y), 2)
+
+
+@pytest.mark.parametrize("yhat, y, match", [
+    ([1.5, 2], [1, 2], "integers"),
+    ([[1, 2], [2, 1]], [1, 2, 2, 1], "1-D"),
+    (np.array([], dtype=np.int64), np.array([], dtype=np.int64), "empty"),
+], ids=["float", "2-D", "empty"])
+def test_hamming_rejects_bad_label_arrays(yhat, y, match):
+    with pytest.raises(ValueError, match=match):
+        hamming_error(yhat, y, 2)
+
+
+def _lsa_optimum(w):
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    return int(w[rows, cols].sum())
+
+
+@st.composite
+def _weight_matrices(draw):
+    """K×K counts, K in 1..15: all equal, or drawn from a small range (heavy
+    ties) or a wide one, with some rows zeroed."""
+    k = draw(st.integers(1, 15))
+    if draw(st.booleans()):
+        return np.full((k, k), draw(st.integers(0, 50)), dtype=np.int64)
+    top = draw(st.sampled_from([1, 2, 5, 10**6]))
+    w = draw(arrays(np.int64, (k, k), elements=st.integers(0, top)))
+    w[draw(arrays(np.bool_, k))] = 0
+    return w
+
+
+@given(_weight_matrices())
+def test_max_assignment_matches_linear_sum_assignment(w):
+    assert cluster._max_assignment(w) == _lsa_optimum(w)
+
+
+def test_max_assignment_k200():
+    w = np.random.default_rng(9).integers(0, 30, size=(200, 200))
+    assert cluster._max_assignment(w) == _lsa_optimum(w)

@@ -84,6 +84,36 @@ def test_cluster_without_labels_loads_only_scipy_special(tmp_path):
     assert not {"optimize", "linalg", "sparse"} & set(loaded)
 
 
+@pytest.mark.parametrize("command, field", [("cluster", '"error_rate":0'),
+                                            ("simulate", "mean_error")])
+def test_error_rate_runs_load_only_scipy_special(tmp_path, command, field):
+    # The relabeling behind an error rate is solved in the package, so
+    # `cluster --labels` and `simulate` load no scipy.optimize, and with it
+    # no scipy.linalg or scipy.sparse.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 30))
+    x[20:, :4] += 4.0
+    path, labels = tmp_path / "x.csv", tmp_path / "y.txt"
+    np.savetxt(path, x, delimiter=",")
+    np.savetxt(labels, np.repeat([1, 2], 20), fmt="%d")
+    argv = {"cluster": ["cluster", "--input", str(path), "--k", "2",
+                        "--labels", str(labels), "--null-reps", "2000"],
+            "simulate": ["simulate", "--experiment", "5", "--reps", "1",
+                         "--null-reps", "2000"]}[command]
+    code = f"""
+    import contextlib, io, json, sys
+    from ifpca import cli
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(sys.argv[1:])
+    print(json.dumps([code, out.getvalue(), {LOADED}]))
+    """
+    code, out, loaded = fresh(code, *argv)
+    assert code == 0
+    assert field in out
+    assert "special" in loaded
+    assert not {"optimize", "linalg", "sparse"} & set(loaded)
+
+
 @pytest.mark.parametrize("call", [
     # 2000 columns: four KS blocks; n = 200 takes the pruned path.
     """
