@@ -159,7 +159,7 @@ def _setting_tag(cfg):
     return ";".join(parts)
 
 
-def simulate_one(cfg, methods, reps, seed, null_cache, null_reps=0, threads=1):
+def simulate_one(cfg, methods, reps, seed, null_cache, null_reps=0, threads=None):
     """Error rates of each method over `reps` generated instances of cfg."""
     n = cfg.n
     if "ifpca" in methods and n not in null_cache:
@@ -305,6 +305,9 @@ def _alt_arg(spec):
     return delta, m
 
 
+_THREADS_HELP = "worker threads (default: every usable core)"
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="ifpca",
                                 description="KS-screened spectral clustering")
@@ -321,7 +324,7 @@ def build_parser():
     c.add_argument("--null-reps", type=_int_at_least(0), default=0)
     c.add_argument("--replicates", type=_int_at_least(1), default=30)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--threads", type=_int_at_least(1), default=1)
+    c.add_argument("--threads", type=_int_at_least(1), help=_THREADS_HELP)
     c.add_argument("--transpose", action="store_true")
     c.add_argument("--truncate", action="store_true")
     c.add_argument("--hc-fallback", action="store_true")
@@ -339,7 +342,7 @@ def build_parser():
     s.add_argument("--methods", type=_methods_arg,
                    default=",".join(SIMULATE_METHODS))
     s.add_argument("--null-reps", type=_int_at_least(0), default=0)
-    s.add_argument("--threads", type=_int_at_least(1), default=1)
+    s.add_argument("--threads", type=_int_at_least(1), help=_THREADS_HELP)
     s.set_defaults(func=cmd_simulate)
 
     t = sub.add_parser("nulltable", help="simulate and store a null table")
@@ -347,7 +350,7 @@ def build_parser():
     t.add_argument("--reps", type=_int_at_least(1), required=True)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True)
-    t.add_argument("--threads", type=_int_at_least(1), default=1)
+    t.add_argument("--threads", type=_int_at_least(1), help=_THREADS_HELP)
     t.set_defaults(func=cmd_nulltable)
 
     k = sub.add_parser("tailcheck", help="Monte-Carlo check of the score tails")
@@ -358,7 +361,9 @@ def build_parser():
     k.add_argument("--alt", type=_alt_arg,
                    help="useful-feature spec 'delta=d1,..,dK;m=m1,..,mK'")
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--threads", type=_int_at_least(1), default=1)
+    k.add_argument("--threads", type=_int_at_least(1),
+                   help="worker threads for the null table (default: every "
+                        "usable core); --alt draws on one thread")
     k.set_defaults(func=cmd_tailcheck)
     return p
 

@@ -294,7 +294,9 @@ def _max_assignment(w):
         dist = np.full(k, np.iinfo(np.int64).max)
         via = np.empty(k, dtype=np.intp)   # previous column on the path
         reached = np.zeros(k + 1, dtype=bool)
-        while row_of[col] >= 0:
+        # Each step reaches a new column, so a free one is found within K
+        # steps, and the path back to the root is no longer.
+        for _ in range(k):
             reached[col] = True
             r = row_of[col]
             free = ~reached[:k]
@@ -307,9 +309,17 @@ def _max_assignment(w):
             u[row_of[reached]] += delta
             v[reached] -= delta
             dist[free] -= delta
-        while col != k:
+            if row_of[col] < 0:
+                break
+        else:
+            raise RuntimeError(f"no free column reached for row {i} in {k} steps")
+        for _ in range(k):
             row_of[col] = row_of[via[col]]
             col = via[col]
+            if col == k:
+                break
+        else:
+            raise RuntimeError(f"no path back to the root for row {i} in {k} steps")
     return int(w[row_of[:k], np.arange(k)].sum())
 
 

@@ -69,7 +69,7 @@ class SpectralEmbedding:
     singular_values: np.ndarray
 
 
-def standardize_columns(x, drop_constant=False, threads=1):
+def standardize_columns(x, drop_constant=False, threads=None):
     """Column means and sample SDs (n-1 denominator) of x, as the
     StandardizedMatrix that forms W from x; W itself is not formed here.
 
@@ -77,7 +77,8 @@ def standardize_columns(x, drop_constant=False, threads=1):
     ZeroVarianceColumn unless drop_constant is set, in which case they are
     removed and the surviving index map is recorded.  A column whose mean or
     SD overflows raises ValueError naming it.  Blocks of about
-    _STD_BLOCK columns run on `threads` workers; values do not depend on
+    _STD_BLOCK columns run on `threads` workers (None: every usable core,
+    for a large enough x; see _parallel.workers); values do not depend on
     either.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -114,7 +115,7 @@ def standardize_columns(x, drop_constant=False, threads=1):
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     for _ in parallel_map(standardize_block,
-                          map(slice, edges[:-1], edges[1:]), threads):
+                          map(slice, edges[:-1], edges[1:]), threads, n * p):
         pass
     if not finite.all():
         raise ValueError("data matrix contains non-finite entries")

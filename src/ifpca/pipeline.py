@@ -39,7 +39,7 @@ class PipelineOptions:
     null_reps: int = 0                    # 0 = default size
     replicates: int = 30
     seed: int = 0
-    threads: int = 1
+    threads: int | None = None            # None = every usable core
     hc_fallback: bool = False
     drop_constant: bool = False
 
@@ -51,7 +51,7 @@ class PipelineOptions:
         if self.norm not in NORMS:
             raise ValueError(f"unknown normalization: {self.norm}")
         parse_threshold(self.threshold)  # validate eagerly
-        if self.threads < 1:
+        if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.null_reps < 0:
             raise ValueError("null_reps must be >= 0 (0 = default size)")

@@ -119,9 +119,10 @@ def ks_of_standardized(v):
     return float(_ks_of_sorted(np.sort(v.ravel())[None], np.zeros(1), np.ones(1))[0])
 
 
-def ks_scores(w, threads=1):
+def ks_scores(w, threads=None):
     """KS score of every column of a StandardizedMatrix, from x's kept
-    columns, in blocks of _KS_BLOCK columns on `threads` workers.  W is not
+    columns, in blocks of _KS_BLOCK columns on `threads` workers (None: every
+    usable core, for a large enough W; see _parallel.workers).  W is not
     formed: _ks_of_sorted standardizes the sorted values where it needs them."""
     xt, kept = w.x.T, w.kept_columns
 
@@ -136,7 +137,8 @@ def ks_scores(w, threads=1):
     # The kernel's scipy.special, imported on this thread before the workers
     # start, so that no two of them make the first import at once.
     import scipy.special  # noqa: F401
-    blocks = parallel_map(score_block, range(0, w.p, _KS_BLOCK), threads)
+    blocks = parallel_map(score_block, range(0, w.p, _KS_BLOCK), threads,
+                          w.n * w.p)
     return KsScores(scores=np.concatenate(list(blocks)), n=w.n)
 
 
@@ -153,13 +155,14 @@ def _null_psi_batch(z):
     return _ks_of_sorted(z, np.zeros(len(z)), sd)
 
 
-def build_null_table(n, reps, seed, threads=1):
+def build_null_table(n, reps, seed, threads=None):
     """Simulate `reps` draws of the null statistic at sample size n.
 
     Each draw standardizes n iid N(0,1) samples and scores them, matching the
-    pipeline statistic exactly.  Chunk seeds derive from (seed, chunk index)
-    with a chunk size that depends only on n, so the table is identical for
-    any thread count.
+    pipeline statistic exactly.  The chunks run on `threads` workers (None:
+    every usable core, for a large enough table; see _parallel.workers).
+    Chunk seeds derive from (seed, chunk index) with a chunk size that
+    depends only on n, so the table is identical for any thread count.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -182,7 +185,7 @@ def build_null_table(n, reps, seed, threads=1):
 
     # As in ks_scores: the kernel's import, before the workers start.
     import scipy.special  # noqa: F401
-    for _ in parallel_map(fill_chunk, range(0, reps, chunk), threads):
+    for _ in parallel_map(fill_chunk, range(0, reps, chunk), threads, reps * n):
         pass
     values.sort()
     return NullTable(n=n, seed=seed, values=values)
@@ -191,7 +194,8 @@ def build_null_table(n, reps, seed, threads=1):
 def simulate_alt_scores(n, reps, delta, m, seed):
     """`reps` draws of the screening statistic at a useful feature: n samples
     N(m[c], 1) with class c ~ delta, scored as build_null_table scores its
-    draws, from one generator in chunks of build_null_table's size."""
+    draws, from one generator in chunks of build_null_table's size, so on
+    the calling thread alone."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if reps < 1:

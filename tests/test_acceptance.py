@@ -28,17 +28,15 @@ def report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def null577():
-    # shared across the two simulation criteria (both run at n = 577);
-    # tables do not depend on the thread count
-    return build_null_table(577, 10**6, seed=101, threads=os.cpu_count() or 1)
+    # shared across the two simulation criteria (both run at n = 577)
+    return build_null_table(577, 10**6, seed=101)
 
 
 # ---------------------------------------------------------------------------
 # 1. Null tail of the screening statistic.
 
 def test_acceptance_1_null_tail():
-    table = build_null_table(5000, 10**6, seed=202,
-                             threads=os.cpu_count() or 1)
+    table = build_null_table(5000, 10**6, seed=202)
     details = []
     ok = True
     for t in (1.0, 1.2, 1.4):

@@ -305,6 +305,27 @@ def test_nulltable_round_trip(tmp_path, capsys):
     assert table.n == 30 and table.seed == 4
 
 
+def test_cluster_default_threads_match_one_thread(tmp_path, capsys):
+    # The 40000-draw table at n=200 spans two chunks and 8 M cells, enough
+    # for two workers under the default; `--threads 0` is refused (exit 2,
+    # test_malformed_argv_exit_code).
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((200, 60))
+    x[:70, :12] += 3.0
+    path = tmp_path / "x.csv"
+    np.savetxt(path, x, delimiter=",")
+    argv = ["cluster", "--input", str(path), "--k", "2", "--null-reps", "40000"]
+    reports = []
+    for extra in ([], ["--threads", "1"]):
+        code, out, _ = run(argv + extra, capsys)
+        assert code == 0
+        report = json.loads(out)
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["selected"]
+
+
 def test_simulate_tiny_config_deterministic(tmp_path, capsys):
     cfg = {"k": 2, "p": 150, "theta": 0.8, "vartheta": 0.25, "r": 2.0,
            "rep": 2, "delta": [1 / 3, 2 / 3], "gamma": [0.5, 0.0, 0.5],

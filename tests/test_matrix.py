@@ -119,7 +119,7 @@ def test_standardize_blocks_on_more_threads_than_cores(monkeypatch):
     # show as a difference from the one-worker result.
     monkeypatch.setattr(matrix, "_STD_BLOCK", 2)
     x = np.random.default_rng(3).standard_normal((20, 300))
-    want = standardize_columns(x)
+    want = standardize_columns(x, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

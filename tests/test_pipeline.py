@@ -64,6 +64,8 @@ def test_options_validation():
     with pytest.raises(ValueError, match="null_reps"):
         PipelineOptions(k=2, null_reps=-5)
     PipelineOptions(k=2, null_reps=0, threads=1)   # 0 = default table size
+    assert PipelineOptions(k=2).threads is None     # None = every usable core
+    PipelineOptions(k=2, threads=None)
 
 
 def test_hc_pipeline_recovers_separated_classes(null120):
