@@ -1,5 +1,5 @@
-"""Synthetic data under the asymptotic clustering model, with the signal-strength
-diagnostics (kappa, tau), the theoretical threshold, and experiment presets."""
+"""Synthetic data under the asymptotic clustering model, the KS screening
+signal strength tau, and the experiment presets."""
 
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -183,25 +183,11 @@ class GroundTruth:
 # ---------------------------------------------------------------------------
 # Diagnostics.
 
-def kappa(m, delta):
-    """Weighted second-moment signal strength per feature; m is K x p."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    delta = np.asarray(delta, dtype=np.float64)
-    return np.sqrt(delta @ (m ** 2))
-
-
 def tau(m, delta, n):
     """Weighted third-moment signal strength per feature (KS screening SNR)."""
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     delta = np.asarray(delta, dtype=np.float64)
     return np.sqrt(n) / (6.0 * math.sqrt(2.0 * math.pi)) * np.abs(delta @ (m ** 3))
-
-
-def threshold_tpq(q, p):
-    """Theoretical screening threshold a0 * sqrt(2 q log p)."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    return A0 * math.sqrt(2.0 * q * math.log(p))
 
 
 # ---------------------------------------------------------------------------

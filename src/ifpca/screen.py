@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,7 +332,11 @@ def load_null_table(path):
         else:
             with open(path) as f:
                 n, reps, seed = _parse_null_header(f.readline().rstrip("\n"))
-                values = np.loadtxt(f, dtype=np.float64, ndmin=1)
+                with warnings.catch_warnings():
+                    # A table without values is reported below as found 0.
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data")
+                    values = np.loadtxt(f, dtype=np.float64, ndmin=1)
         if values.size != reps:
             raise ValueError(f"expected {reps} values, found {values.size}")
         # pvalues (searchsorted) and lower50 (the lower half by position) read

@@ -54,7 +54,7 @@ def test_acceptance_1_null_tail():
 
 def test_acceptance_2_useful_feature_power():
     n, p, q, reps = 1000, 10**4, 0.05, 10**4
-    t = acm.threshold_tpq(q, p)
+    t = acm.A0 * math.sqrt(2.0 * q * math.log(p))  # theoretical threshold
     # two classes, delta = (1/3, 2/3), contrasts (m, -m/2); then the
     # third-moment diagnostic is sqrt(n) m^3 / (24 sqrt(2 pi)); choose m so
     # that it equals 2t

