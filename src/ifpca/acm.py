@@ -80,11 +80,13 @@ class DistributionSpec(_JsonFields):
         if self.kind == "uniform" and self.params[1] <= 0:
             raise InvalidConfig("uniform half-width must be positive")
         if self.kind == "truncshiftexp":
-            lam, _, a1, a2 = self.params
+            lam, b, a1, a2 = self.params
             if lam <= 0:
                 raise InvalidConfig("exponential mean must be positive")
             if a1 > a2:
                 raise InvalidConfig("need a1 <= a2")
+            if a2 - b <= max(a1 - b, 0.0):
+                raise InvalidConfig("truncshiftexp window is empty")
 
     def sample(self, size, rng):
         if self.kind == "pointmass":
@@ -106,8 +108,6 @@ class DistributionSpec(_JsonFields):
         lam, b, a1, a2 = self.params
         lo = max(a1 - b, 0.0)
         hi = a2 - b
-        if hi <= lo:
-            raise InvalidConfig("truncshiftexp window is empty")
         c_lo = -math.expm1(-lo / lam)
         c_hi = 1.0 if math.isinf(hi) else -math.expm1(-hi / lam)
         u = c_lo + rng.uniform(size=size) * (c_hi - c_lo)
@@ -124,6 +124,15 @@ class NoiseModel(_JsonFields):
     variant: str = "band"
     d: float = 0.0
     subset_size: int = 0
+
+    def __post_init__(self):
+        kinds = ("iid-gaussian", "class-scaled", "student-t6", "chisq6", "correlated")
+        if self.kind not in kinds:
+            raise InvalidConfig(f"unknown noise model: {self.kind}")
+        if self.variant not in ("band", "random"):
+            raise InvalidConfig(f"unknown correlation variant: {self.variant}")
+        if abs(self.d) >= 1:
+            raise InvalidConfig("|d| must be < 1")
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,10 @@ class AcmConfig(_JsonFields):
                 and not 1 <= noise.subset_size <= self.p - 1):
             raise InvalidConfig("AcmConfig.noise.subset_size: must lie in "
                                 f"[1, p-1={self.p - 1}]")
+        if noise.kind == "class-scaled" and (len(noise.class_variances) != self.k
+                                             or min(noise.class_variances) <= 0):
+            raise InvalidConfig("AcmConfig.noise.class_variances: class-scaled "
+                                f"noise needs K={self.k} positive variances")
 
     @property
     def n(self):
@@ -263,19 +276,15 @@ def generate(config, seed):
         # statistics sum C-ordered blocks in their own order.
         z = np.ascontiguousarray((a.T @ z.T).T)
     elif noise.kind == "class-scaled":
-        if len(noise.class_variances) != k:
-            raise InvalidConfig("class-scaled noise needs K variances")
         z = rng.standard_normal((n, p))
         z *= np.sqrt(np.asarray(noise.class_variances))[y - 1][:, None]
     elif noise.kind == "student-t6":
         z = rng.standard_t(6, size=(n, p))
         z *= math.sqrt(2.0 / 3.0)
-    elif noise.kind == "chisq6":
+    else:  # chisq6
         z = rng.chisquare(6, size=(n, p))
         z -= 6.0
         z /= math.sqrt(12.0)
-    else:
-        raise InvalidConfig(f"unknown noise model: {noise.kind}")
 
     # The sum in IEEE arithmetic commutes: z + (mu + mubar) is
     # (mu + mubar) + z, bit for bit.

@@ -70,24 +70,39 @@ def load_matrix(path, transpose=False, threads=None):
 def _load_inline(path):
     try:
         with open(path) as f:
-            lines = (line for line in f if line.strip())
-            first = next(lines, "")
-            header = False
+            first = _read_header(f)
             try:
-                [float(c) for c in first.split(",")]
-            except ValueError:
-                header = True
-                first = next(lines, "")
-            if not first:
-                raise ValueError(f"{path}: no data rows")
-            try:
-                return np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                                  comments=None, dtype=np.float64, ndmin=2)
+                x = _parse_lines(itertools.chain([first or ""], f))
             except ValueError as e:
-                raise ValueError(f"{path}: {_bad_line(path, header) or e}") from None
+                raise ValueError(f"{path}: {_bad_line(path, first is None) or e}") from None
     except UnicodeDecodeError as e:
         # The first lines are decoded here, before loadtxt reads any.
         raise ValueError(f"{path}: {e}") from None
+    if not x.size:
+        raise ValueError(f"{path}: no data rows")
+    return x
+
+
+def _read_header(f):
+    """Read text file f through its first line that is not blank: None when
+    that line does not parse as numbers (a header), else the line."""
+    line = f.readline()
+    while line and not line.strip():
+        line = f.readline()
+    try:
+        [float(c) for c in line.split(",")]
+    except ValueError:
+        return None
+    return line
+
+
+def _parse_lines(lines):
+    """The rows of the lines that are not blank; 0 x 0 when none is."""
+    lines = (line for line in lines if line.strip())
+    first = next(lines, None)
+    return np.empty((0, 0)) if first is None else np.loadtxt(
+        itertools.chain([first], lines), delimiter=",", comments=None,
+        dtype=np.float64, ndmin=2)
 
 
 def _load_in_pieces(path, threads):
@@ -101,10 +116,7 @@ def _load_in_pieces(path, threads):
         # A pipe or a device could not be read again by the pieces.
         if workers < 2 or not stat.S_ISREG(st.st_mode):
             return None
-        with open(path) as f:
-            start = _data_start(f)
-        with open(path, "rb") as f:
-            pieces = _line_ranges(f, start, st.st_size, workers)
+        pieces = _line_ranges(path, st.st_size, workers)
     except (OSError, ValueError):  # UnicodeDecodeError included
         return None
     if len(pieces) < 2:
@@ -127,34 +139,25 @@ def _load_in_pieces(path, threads):
     return x
 
 
-def _data_start(f):
-    """Byte offset in text file f of the first line the inline reader may
-    parse as data: just past a header line, else 0."""
-    line = f.readline()
-    while line and not line.strip():
-        line = f.readline()
-    try:
-        [float(c) for c in line.split(",")]
-    except ValueError:
-        # The byte offset past the line, or past the end of the file when
-        # the decoder holds state there (then nothing is cut).
-        return f.tell()
-    return 0
-
-
-def _line_ranges(f, start, end, pieces):
-    """Byte ranges that tile [start, end) of binary file f in at most
-    `pieces` of about equal size, each but the last ending just after a
-    newline byte.  That byte ends a line in every ASCII-compatible encoding
-    and under universal newlines, so the pieces hold whole lines."""
+def _line_ranges(path, end, pieces):
+    """Byte ranges that tile the file at `path` up to `end`, from just past
+    its header (0 without one), in at most `pieces` of about equal size, each
+    but the last ending just after a newline byte.  That byte ends a line in
+    every ASCII-compatible encoding and under universal newlines, so the
+    pieces hold whole lines."""
+    with open(path) as f:
+        # Past the end of the file when the decoder holds state there (then
+        # nothing is cut).
+        start = f.tell() if _read_header(f) is None else 0
     cuts = [start]
-    for i in range(1, pieces):
-        target = start + (end - start) * i // pieces
-        if target > cuts[-1]:
-            f.seek(target - 1)
-            f.readline()
-            if f.tell() < end:
-                cuts.append(f.tell())
+    with open(path, "rb") as f:
+        for i in range(1, pieces):
+            target = start + (end - start) * i // pieces
+            if target > cuts[-1]:
+                f.seek(target - 1)
+                f.readline()
+                if f.tell() < end:
+                    cuts.append(f.tell())
     cuts.append(end)
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
@@ -168,11 +171,7 @@ def _parse_piece(path, piece, out):
         f.seek(begin)
         data = f.read(end - begin)
     # Decoded and split into lines as open(path) would.
-    lines = (line for line in io.TextIOWrapper(io.BytesIO(data)) if line.strip())
-    first = next(lines, None)
-    x = np.empty((0, 0)) if first is None else np.loadtxt(
-        itertools.chain([first], lines), delimiter=",", comments=None,
-        dtype=np.float64, ndmin=2)
+    x = _parse_lines(io.TextIOWrapper(io.BytesIO(data)))
     out.write(np.array(x.shape, dtype=np.int64).tobytes())
     out.write(x.data)
 

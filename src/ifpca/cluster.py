@@ -2,8 +2,7 @@
 complete-linkage agglomerative clustering, and relabeling-minimized Hamming error."""
 
 import functools
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +22,6 @@ class KmeansResult:
     wcss: float
     replicate_id: int
     iterations: int
-    # The K×d centers or, for points given as a matrix.Gram, a function that
-    # forms them, called once, on the first read of `centers`.
-    center_means: np.ndarray | Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def centers(self):
-        return self.center_means() if callable(self.center_means) else self.center_means
 
 
 def _assign(points, x_sq, centers):
@@ -90,9 +82,9 @@ def _lloyd(points, centers, x_sq=None):
     """Lloyd's algorithm from each set of a r×K×d stack of seeds at once.
 
     Each step assigns and updates every replicate whose labels still
-    changed; a replicate leaves when they stop.  Returns labels (r×n),
-    centers, WCSS (r,) and iterations (r,), each replicate's as if it had
-    run alone.  x_sq is |points|² when the caller has it.
+    changed; a replicate leaves when they stop.  Returns labels (r×n), WCSS
+    (r,) and iterations (r,), each replicate's as if it had run alone.  x_sq
+    is |points|² when the caller has it.
     """
     k = centers.shape[1]
     labels = _assign(points, x_sq, centers)[0]
@@ -120,7 +112,7 @@ def _lloyd(points, centers, x_sq=None):
             break
     # The returned WCSS comes from the residuals, not from the GEMM distances,
     # so replicates that reach one partition tie exactly.
-    return labels, centers, _residual_wcss(points, centers, labels), iterations
+    return labels, _residual_wcss(points, centers, labels), iterations
 
 
 def kmeanspp_seed(points, k, rngs, x_sq=None):
@@ -170,13 +162,8 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
     O(np).  The distances are the same up to rounding, so labels, replicate
     id and iterations are those of Lloyd on the full width.  The WCSS is the
     row space's, within 1e-13 of the total sum of squares of the full-width
-    value; centers are per-label means of the input rows, within 1e-13 of
-    the largest input entry.  Points whose columns are centered may be given
-    as a matrix.Gram of them, whose row space is then formed once for all
-    calls, and whose blocks give the centers.  Those are formed on the first
-    read of the result's `centers`, which the pipeline never makes, so the
-    result keeps the Gram, and the data behind it must not change before
-    then.  The centers of an array are formed before kmeans returns.
+    value.  Points whose columns are centered may be given as a matrix.Gram
+    of them, whose row space is then formed once for all calls.
     """
     gram = points if isinstance(points, Gram) else None
     if gram is None:
@@ -212,28 +199,14 @@ def kmeans(points, k, replicates=30, seed=0, init="uniform-sample"):
                                               for rep in range(first, last)], sq)
         else:
             seeds = coords[_uniform_rows(seed, n, k, first, last)]
-        labels, centers, wcss, iters = _lloyd(coords, seeds, sq)
+        labels, wcss, iters = _lloyd(coords, seeds, sq)
         # argmin and the strict < keep the first of equal WCSS, so ties go to
         # the lowest replicate id.
         i = int(wcss.argmin())
-        if best is None or wcss[i] < best[2]:
-            best = labels[i], centers[i], float(wcss[i]), first + i, int(iters[i])
-    labels, space_centers, wcss, best_rep, iters = best
-
-    def center_means():
-        # A cluster empty at the end keeps the row it was reseeded at, the row
-        # of the coordinates at distance 0 from its center.
-        blocks = points.blocks() if isinstance(points, Gram) else [(slice(None), points)]
-        centers = np.empty((k, d))
-        for cols, block in blocks:
-            centers[:, cols] = _label_means(
-                block, labels[None], k,
-                lambda _, c: ((coords - space_centers[c]) ** 2).sum(axis=1).argmin())[0]
-        return centers
-
-    return KmeansResult(labels=labels + 1, wcss=wcss, replicate_id=best_rep,
-                        iterations=iters, center_means=center_means
-                        if isinstance(points, Gram) else center_means())
+        if best is None or wcss[i] < best.wcss:
+            best = KmeansResult(labels=labels[i] + 1, wcss=float(wcss[i]),
+                                replicate_id=first + i, iterations=int(iters[i]))
+    return best
 
 
 def hierarchical_complete(points, k):

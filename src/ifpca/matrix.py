@@ -145,7 +145,7 @@ def sq_dists(a, b, a_sq=None):
     """
     if a_sq is None:
         a_sq = np.einsum("ij,ij->i", a, a)
-    b_sq = a_sq if b is a else np.einsum("...j,...j->...", b, b)
+    b_sq = np.einsum("...j,...j->...", b, b)
     return _sq_dists_of(a_sq, b_sq, b @ a.T, a.shape[1])
 
 
@@ -181,9 +181,8 @@ class Gram:
     W is given by its `shape` and by `columns(s)`, which forms W[:, s] for a
     slice s of its columns; Gram.of(w) takes an array.  g and sq are sums
     over blocks of at most GRAM_CELLS cells, each formed, multiplied and
-    dropped, so W is never held whole.  blocks() forms them again for the
-    readers of W's entries: row_space's check of rows at distance 0 and the
-    centers of cluster.kmeans.
+    dropped, so W is never held whole.  row_space's check of rows at
+    distance 0 forms them again.
     """
 
     def __init__(self, columns, shape):
@@ -204,11 +203,6 @@ class Gram:
     def of(cls, w):
         return cls(lambda s: w[:, s], w.shape)
 
-    def blocks(self):
-        """(s, W[:, s]) for each block s of W's columns, formed anew."""
-        for s in self.slices:
-            yield s, self.columns(s)
-
     @functools.cached_property
     def eigh(self):
         return np.linalg.eigh(self.g)
@@ -224,8 +218,8 @@ class Gram:
         -0.0 into 0.0, so that equal bytes are equal values)."""
         n = self.shape[0]
         ids = np.zeros(n, dtype=np.intp)
-        for _, b in self.blocks():
-            b = np.ascontiguousarray(b + 0.0)
+        for s in self.slices:
+            b = np.ascontiguousarray(self.columns(s) + 0.0)
             rows = b.view(np.dtype((np.void, b.itemsize * b.shape[1])))[:, 0]
             ids = np.unique(ids * n + np.unique(rows, return_inverse=True)[1],
                             return_inverse=True)[1]

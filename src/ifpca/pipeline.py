@@ -184,6 +184,9 @@ def _cluster(data, clusterer, opts, p, timings):
         k_embed = min(opts.k - 1, min(data.shape)) if opts.k > 1 else 1
         emb = matrix.truncated_left_svd(data, k_embed)
         if opts.truncate:
+            if p < 2:
+                raise ValueError("--truncate needs p >= 2 columns: its clip level "
+                                 f"log(p)/sqrt(n) is 0 at p={p}")
             emb = matrix.entrywise_truncate(emb, math.log(p) / math.sqrt(n))
         timings["svd"] = time.perf_counter() - t0
         data, init = emb.u, "uniform-sample"

@@ -33,7 +33,6 @@ class KsScores:
     """Per-feature KS scores, raw or normalized (normalize_scores)."""
 
     scores: np.ndarray
-    n: int
 
     @property
     def p(self):
@@ -140,7 +139,7 @@ def ks_scores(w, threads=None):
     import scipy.special  # noqa: F401
     blocks = parallel_map(score_block, range(0, w.p, _KS_BLOCK), threads,
                           w.n * w.p)
-    return KsScores(scores=np.concatenate(list(blocks)), n=w.n)
+    return KsScores(scores=np.concatenate(list(blocks)))
 
 
 def _null_psi_batch(z):
@@ -255,7 +254,7 @@ def normalize_scores(ks, mode, null=None):
     else:
         center, scale = _center_scale(s, mode, "KS scores")
         out = (s - center) / scale
-    return KsScores(scores=out, n=ks.n)
+    return KsScores(scores=out)
 
 
 def null_reference_values(null, mode):

@@ -250,10 +250,9 @@ def test_generate_is_pinned_and_c_ordered(monkeypatch, exp, i, rows):
 
 
 def test_class_scaled_noise_requires_k_variances():
-    cfg = small_config(noise=NoiseModel(kind="class-scaled",
-                                        class_variances=(1.0,)))
+    # Refused when the config is built, before any data are drawn.
     with pytest.raises(InvalidConfig):
-        generate(cfg, seed=0)
+        small_config(noise=NoiseModel(kind="class-scaled", class_variances=(1.0,)))
 
 
 # ---------------------------------------------------------------------------

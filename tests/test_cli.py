@@ -411,6 +411,80 @@ def test_simulate_malformed_config_is_usage_error(change, field, tmp_path,
     assert err.startswith(f"error: {field}")
 
 
+# Columns that are permutations of one vector of integers, so that their
+# means, SDs and KS scores are equal bit for bit.
+PERMUTED = "".join(",".join(map(str, row)) + "\n" for row in np.array(
+    [np.random.default_rng(c).permutation(30) for c in range(20)]).T).encode()
+TRUNCATE_P1 = ("--truncate needs p >= 2 columns: its clip level log(p)/sqrt(n) "
+               "is 0 at p=1")
+CLASS_VARIANCES = ("AcmConfig.noise.class_variances: class-scaled noise needs K=2 "
+                   "positive variances")
+
+
+def shiftexp(*params):
+    return {"g_mu": {"kind": "truncshiftexp", "params": list(params)}}
+
+
+# name: (argv, the input matrix or the config's changes, exit code, error)
+EXIT_PATHS = {
+    "cluster zero MAD": (["cluster", "--k", "2", "--norm", "medmad", "--threshold",
+                          "fixed:1"], PERMUTED, 4, "MAD of KS scores is zero"),
+    "cluster one row": (["cluster", "--k", "1"], b"1,2,3\n", 3,
+                        "need at least 2 samples (rows)"),
+    "cluster all constant": (["cluster", "--k", "1", "--drop-constant"],
+                             b"1,2\n1,2\n1,2\n", 3, "column 0 has zero variance"),
+    "cluster truncate p=1": (["cluster", "--k", "2", "--method", "pca", "--truncate"],
+                             b"1\n2\n4\n8\n", 3, TRUNCATE_P1),
+    "cluster truncate p=1 after drop": (
+        ["cluster", "--k", "2", "--method", "pca", "--truncate", "--drop-constant"],
+        b"1,5\n2,5\n4,5\n8,5\n", 3, TRUNCATE_P1),
+    "parameter count": (["simulate"], {"g_mu": {"kind": "uniform", "params": [1.0]}},
+                        2, "uniform takes 2 parameters"),
+    "exponential mean": (["simulate"], shiftexp(0.0, 0.9, 0.9, 1.2), 2,
+                         "exponential mean must be positive"),
+    "a1 > a2": (["simulate"], shiftexp(0.1, 0.9, 1.2, 0.9), 2, "need a1 <= a2"),
+    "empty window": (["simulate"], shiftexp(0.1, 0.9, 0.0, 0.5), 2,
+                     "truncshiftexp window is empty"),
+    "theta": (["simulate"], {"theta": 1.5}, 2, "theta and vartheta must lie in (0, 1)"),
+    "vartheta": (["simulate"], {"vartheta": 0.0}, 2,
+                 "theta and vartheta must lie in (0, 1)"),
+    "r": (["simulate"], {"r": 0.0}, 2, "r must be positive"),
+    "variant": (["simulate"], {"noise": {"kind": "correlated", "variant": "bands"}},
+                2, "unknown correlation variant: bands"),
+    "d": (["simulate"], {"noise": {"kind": "correlated", "d": 1.0}}, 2,
+          "|d| must be < 1"),
+    "noise kind": (["simulate"], {"noise": {"kind": "gausian"}}, 2,
+                   "unknown noise model: gausian"),
+    "class variance count": (["simulate"], {"noise": {"kind": "class-scaled",
+                                                      "class_variances": [1.0]}},
+                             2, CLASS_VARIANCES),
+    "class variance zero": (["simulate"], {"noise": {"kind": "class-scaled",
+                                                     "class_variances": [1.0, 0.0]}},
+                            2, CLASS_VARIANCES),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_PATHS))
+def test_documented_exit_paths(case, capsys, monkeypatch, tmp_path):
+    # Each is refused before a null table is drawn: a bad noise model used
+    # to be found by generate, after the CSV header and a whole table.
+    def no_null_table(*args, **kwargs):
+        raise AssertionError("a null table was built")
+
+    monkeypatch.setattr(screen, "build_null_table", no_null_table)
+    argv, content, code, error = EXIT_PATHS[case]
+    if isinstance(content, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY_CONFIG, **content}))
+        argv = argv + ["--config", str(path), "--null-reps", "2000"]
+    else:
+        path = tmp_path / "x.csv"
+        path.write_bytes(content)
+        argv = argv + ["--input", str(path)]
+    got, out, err = run(argv, capsys)
+    assert (got, out, err) == (code, "", f"error: {error}\n")
+
+
 def test_simulate_zero_reps_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{}")

@@ -69,7 +69,7 @@ def test_hc_threshold_selects_j_hat_features():
     from ifpca.screen import pvalues
     pv = pvalues(scores, null)
     res = hc_threshold(pv, scores, n=n)
-    sel = select_features(KsScores(scores=scores, n=n), res.t_hc)
+    sel = select_features(KsScores(scores=scores), res.t_hc)
     assert sel.size == res.j_hat
 
 

@@ -148,25 +148,25 @@ def test_ks_scores_blocks_thread_invariant(n, p, order, seed):
 
 
 def test_normalize_meanstd_symmetric():
-    ks = KsScores(scores=np.array([1.0, 2.0, 3.0]), n=10)
+    ks = KsScores(scores=np.array([1.0, 2.0, 3.0]))
     out = normalize_scores(ks, "meanstd")
     np.testing.assert_allclose(out.scores, [-1.0, 0.0, 1.0])
 
 
 def test_normalize_none_identity():
-    ks = KsScores(scores=np.array([0.3, 0.8]), n=10)
+    ks = KsScores(scores=np.array([0.3, 0.8]))
     assert normalize_scores(ks, "none") is ks
 
 
 def test_normalize_medmad_zero_spread():
-    ks = KsScores(scores=np.array([1.0, 1.0, 1.0, 10.0]), n=10)
+    ks = KsScores(scores=np.array([1.0, 1.0, 1.0, 10.0]))
     with pytest.raises(ZeroSpread):
         normalize_scores(ks, "medmad")
 
 
 def test_normalize_meanstd_moments():
     rng = np.random.default_rng(16)
-    ks = KsScores(scores=rng.uniform(0.3, 1.5, size=500), n=40)
+    ks = KsScores(scores=rng.uniform(0.3, 1.5, size=500))
     out = normalize_scores(ks, "meanstd")
     assert abs(out.scores.mean()) < 1e-10
     assert abs(out.scores.std(ddof=1) - 1.0) < 1e-10
@@ -176,7 +176,7 @@ def test_normalize_lower50_matches_null_bulk():
     rng = np.random.default_rng(17)
     null = build_null_table(30, 2000, seed=5)
     scores = rng.uniform(0.4, 2.0, size=400)
-    out = normalize_scores(KsScores(scores=scores, n=30), "lower50", null=null)
+    out = normalize_scores(KsScores(scores=scores), "lower50", null=null)
     low_out = np.sort(out.scores)[:200]
     low_null = null.values[:1000]
     assert low_out.mean() == pytest.approx(low_null.mean(), abs=1e-10)
@@ -337,7 +337,7 @@ def test_pvalues_antitone():
 
 
 def test_select_features_examples():
-    ks = KsScores(scores=np.array([0.2, 0.9, 0.5]), n=10)
+    ks = KsScores(scores=np.array([0.2, 0.9, 0.5]))
     np.testing.assert_array_equal(select_features(ks, 0.5), [2, 3])
     np.testing.assert_array_equal(select_features(ks, -np.inf), [1, 2, 3])
     with pytest.raises(EmptySelection):

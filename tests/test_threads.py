@@ -108,10 +108,7 @@ WORKERS = (2, 3, 5)
 
 def cut(path, workers):
     """The byte ranges load_matrix parses on `workers` forked workers."""
-    with open(path) as f:
-        start = cli._data_start(f)
-    with open(path, "rb") as f:
-        return cli._line_ranges(f, start, os.path.getsize(path), workers)
+    return cli._line_ranges(path, os.path.getsize(path), workers)
 
 
 @pytest.fixture
@@ -138,6 +135,7 @@ BLANK = [b"\n", b"  \n", b"\t \n"]
 
 LOADER_FILES = {
     "header": b"a,b,c\n" + b"".join(rows(30, 3, 1)),
+    "header after blank lines": b"".join(BLANK) + b"a,b,c\n" + b"".join(rows(30, 3, 10)),
     "crlf": b"s1,s2\r\n" + b"".join(rows(30, 2, 2, end=b"\r\n")),
     # Blank and whitespace-only lines between every data line, and a run of
     # them long enough to fill a piece on its own.
