@@ -16,8 +16,7 @@ import numpy as np
 
 from . import _parallel, acm, pipeline, screen
 from .errors import (EmptySelection, IfpcaError, InvalidConfig, InvalidK,
-                     NoEligibleIndex, UnknownExperiment, ZeroSpread,
-                     ZeroVarianceColumn)
+                     NoEligibleIndex, UnknownExperiment, ZeroSpread)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,11 +30,9 @@ def _exit_code(exc):
         return EXIT_EMPTY
     if isinstance(exc, ZeroSpread):
         return EXIT_NUMERICAL
-    if isinstance(exc, (ZeroVarianceColumn, InvalidK)):
-        return EXIT_DATA
     if isinstance(exc, (InvalidConfig, UnknownExperiment)):
         return EXIT_USAGE
-    if isinstance(exc, (OSError, ValueError)):
+    if isinstance(exc, (InvalidK, OSError, ValueError)):
         return EXIT_DATA
     return EXIT_NUMERICAL
 
@@ -253,7 +250,7 @@ def cmd_cluster(args):
         k=args.k, method=args.method, norm=args.norm, threshold=args.threshold,
         truncate=args.truncate, null_table=null, null_reps=args.null_reps,
         replicates=args.replicates, seed=args.seed, threads=args.threads,
-        hc_fallback=args.hc_fallback, drop_constant=args.drop_constant)
+        hc_fallback=args.hc_fallback)
     report = pipeline.run_pipeline(x, opts, truth=truth)
     print(report.to_json())
     if args.out:
@@ -447,7 +444,6 @@ def build_parser():
     c.add_argument("--transpose", action="store_true")
     c.add_argument("--truncate", action="store_true")
     c.add_argument("--hc-fallback", action="store_true")
-    c.add_argument("--drop-constant", action="store_true")
     c.add_argument("--out")
     c.set_defaults(func=cmd_cluster)
 

@@ -5,12 +5,6 @@ class IfpcaError(Exception):
     """Base class for all package errors."""
 
 
-class ZeroVarianceColumn(IfpcaError):
-    def __init__(self, column):
-        self.column = column
-        super().__init__(f"column {column} has zero variance")
-
-
 class DegenerateGapWarning(UserWarning):
     """Trailing singular-value gap below matrix.GAP_TOL * sigma_1; subspace ill-determined."""
 

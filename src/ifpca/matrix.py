@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import DegenerateGapWarning, ZeroVarianceColumn
+from .errors import DegenerateGapWarning
 
 # Relative trailing-gap size below which the leading subspace is flagged.
 GAP_TOL = 1e-10
@@ -25,7 +25,7 @@ class StandardizedMatrix:
 
     W[i, j] = (x[i, k] - col_mean[j]) / col_sd[j] for k = kept_columns[j],
     with col_sd using the n-1 denominator.  kept_columns maps W's columns
-    back to x's when constant columns were dropped (identity otherwise).
+    back to x's, whose constant columns W leaves out.
     W is not stored: columns(cols) forms the columns asked for, and a Gram
     sums W·W′ from blocks of them.
     """
@@ -69,14 +69,14 @@ class SpectralEmbedding:
     singular_values: np.ndarray
 
 
-def standardize_columns(x, drop_constant=False, threads=None):
+def standardize_columns(x, threads=None):
     """Column means and sample SDs (n-1 denominator) of x, as the
     StandardizedMatrix that forms W from x; W itself is not formed here.
 
-    Constant columns (every entry equal, or a computed SD of 0) raise
-    ZeroVarianceColumn unless drop_constant is set, in which case they are
-    removed and the surviving index map is recorded.  A column whose mean or
-    SD overflows raises ValueError naming it.  Blocks of about
+    Constant columns (every entry equal, or a computed SD of 0) have no
+    standardized values: they are left out of W, and kept_columns records
+    the columns that remain.  A matrix of constant columns only, and a
+    column whose mean or SD overflows, raise ValueError.  Blocks of about
     _STD_BLOCK columns run on `threads` workers (None: every usable core,
     for a large enough x; see _parallel.workers); values do not depend on
     either.
@@ -123,16 +123,11 @@ def standardize_columns(x, drop_constant=False, threads=None):
     overflow = np.flatnonzero(~constant & ~np.isfinite(sd))
     if overflow.size:
         raise ValueError(f"column {overflow[0]}: its mean or SD overflows")
-    keep = np.arange(p)
-    if constant.any():
-        zero = np.flatnonzero(constant)
-        if not drop_constant:
-            raise ZeroVarianceColumn(int(zero[0]))
-        keep = np.flatnonzero(~constant)
-        if keep.size == 0:
-            raise ZeroVarianceColumn(int(zero[0]))
-        mean, sd = mean[keep], sd[keep]
-    return StandardizedMatrix(x=x, col_mean=mean, col_sd=sd, kept_columns=keep)
+    keep = np.flatnonzero(~constant)
+    if not keep.size:
+        raise ValueError("every column is constant (zero variance)")
+    return StandardizedMatrix(x=x, col_mean=mean[keep], col_sd=sd[keep],
+                              kept_columns=keep)
 
 
 def sq_dists(a, b, a_sq=None):

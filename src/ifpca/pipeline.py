@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import cluster, hc, matrix, screen
+from .errors import InvalidK
 
 # method -> (screen features first?, clusterer).  "spectral" is k-means on
 # the top K-1 left singular vectors; "uniform-sample" and "plusplus" are
@@ -41,7 +42,6 @@ class PipelineOptions:
     seed: int = 0
     threads: int | None = None            # None = every usable core
     hc_fallback: bool = False
-    drop_constant: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -53,6 +53,8 @@ class PipelineOptions:
         parse_threshold(self.threshold)  # validate eagerly
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.replicates < 1:
+            raise ValueError("replicates must be >= 1")
         if self.null_reps < 0:
             raise ValueError("null_reps must be >= 0 (0 = default size)")
 
@@ -109,36 +111,43 @@ def parse_threshold(spec):
     raise ValueError(f"unknown threshold rule: {spec}")
 
 
-def _get_null_table(opts, n, p):
-    if opts.null_table is not None:
-        if opts.null_table.n != n:
-            raise ValueError(f"null table was built at n={opts.null_table.n}, "
-                             f"data has n={n}")
-        return opts.null_table
-    reps = opts.null_reps if opts.null_reps > 0 else screen.default_null_size(p)
-    return screen.build_null_table(n, reps, opts.seed, threads=opts.threads)
-
-
 class Instance:
     """A data matrix and the stages every method derives from it alike: its
     column statistics (a matrix.StandardizedMatrix), the raw KS scores and,
     for p > n, the matrix.Gram of the standardized matrix W.  Each is formed,
-    and timed, by the first call on the instance that needs it, once per
-    drop_constant setting.  No stage keeps W: the Gram is summed from blocks
-    of its columns, and a screened run forms the Gram of its selected
-    columns the same way, or those columns when they are no more than n."""
+    and timed, by the first call on the instance that needs it.  No stage
+    keeps W: the Gram is summed from blocks of its columns, and a screened
+    run forms the Gram of its selected columns the same way, or those
+    columns when they are no more than n."""
 
     def __init__(self, x):
         self.x = x
         self._stages = {}
 
-    def _stage(self, name, opts, timings, form):
-        key = (name, opts.drop_constant)
-        if key not in self._stages:
+    def _stage(self, name, timings, form):
+        if name not in self._stages:
             t0 = time.perf_counter()
-            self._stages[key] = form()
+            self._stages[name] = form()
             timings[name] = time.perf_counter() - t0
-        return self._stages[key]
+        return self._stages[name]
+
+
+def _uses_null(opts):
+    """Whether the run reads a null table: a screened run under HC or lower50."""
+    return _METHODS[opts.method][0] and (opts.threshold == "hc" or opts.norm == "lower50")
+
+
+def _check_shape(w, opts):
+    """Refuse, before any scoring or null table, a run that a later stage
+    would refuse for the shape of its standardized matrix w."""
+    if opts.k > w.n:
+        raise InvalidK(f"K={opts.k} must lie in [1, n={w.n}]")
+    if _uses_null(opts) and opts.null_table is not None and opts.null_table.n != w.n:
+        raise ValueError(f"null table was built at n={opts.null_table.n}, "
+                         f"data has n={w.n}")
+    if opts.truncate and _METHODS[opts.method][1] == "spectral" and w.p < 2:
+        raise ValueError("--truncate needs p >= 2 columns: its clip level "
+                         f"log(p)/sqrt(n) is 0 at p={w.p}")
 
 
 def _select(inst, w, opts, timings):
@@ -148,14 +157,17 @@ def _select(inst, w, opts, timings):
     # so that the stage times the scoring alone.
     import scipy.special  # noqa: F401
     # The scores do not depend on the thread count.
-    raw = inst._stage("ks", opts, timings,
+    raw = inst._stage("ks", timings,
                       lambda: screen.ks_scores(w, threads=opts.threads))
 
     rule, value = parse_threshold(opts.threshold)
     null = None
-    if rule == "hc" or opts.norm == "lower50":
+    if _uses_null(opts):
         t0 = time.perf_counter()
-        null = _get_null_table(opts, n, p)
+        null = opts.null_table
+        if null is None:
+            reps = opts.null_reps if opts.null_reps > 0 else screen.default_null_size(p)
+            null = screen.build_null_table(n, reps, opts.seed, threads=opts.threads)
         timings["null"] = time.perf_counter() - t0
     scored = screen.normalize_scores(raw, opts.norm, null=null)
     j_hat = None
@@ -184,9 +196,6 @@ def _cluster(data, clusterer, opts, p, timings):
         k_embed = min(opts.k - 1, min(data.shape)) if opts.k > 1 else 1
         emb = matrix.truncated_left_svd(data, k_embed)
         if opts.truncate:
-            if p < 2:
-                raise ValueError("--truncate needs p >= 2 columns: its clip level "
-                                 f"log(p)/sqrt(n) is 0 at p={p}")
             emb = matrix.entrywise_truncate(emb, math.log(p) / math.sqrt(n))
         timings["svd"] = time.perf_counter() - t0
         data, init = emb.u, "uniform-sample"
@@ -206,8 +215,9 @@ def run_pipeline(x, opts, truth=None):
     `x` is a data matrix, or an Instance shared by several runs on one."""
     inst = x if isinstance(x, Instance) else Instance(x)
     timings = {}
-    w = inst._stage("standardize", opts, timings, lambda: matrix.standardize_columns(
-        inst.x, drop_constant=opts.drop_constant, threads=opts.threads))
+    w = inst._stage("standardize", timings, lambda: matrix.standardize_columns(
+        inst.x, threads=opts.threads))
+    _check_shape(w, opts)
 
     # A matrix wider than tall is clustered through the Gram of its
     # columns, which is summed from blocks of them; a narrower one is formed.
@@ -224,7 +234,7 @@ def run_pipeline(x, opts, truth=None):
         # slice(None) takes every column as a view, without a copy.
         cols, threshold, j_hat = slice(None), -math.inf, None
         if w.p > w.n:
-            data = inst._stage("gram", opts, timings,
+            data = inst._stage("gram", timings,
                                lambda: matrix.Gram(w.columns, (w.n, w.p)))
         else:
             data = w.columns()

@@ -168,19 +168,20 @@ def test_cluster_empty_selection_exit_code(blob_csv, capsys):
 @pytest.mark.parametrize("value", [0.1, 1 / 3, 7.7])
 def test_cluster_constant_column_exit_code(value, capsys, tmp_path):
     # A constant column whose computed SD is of order eps, not 0, used to be
-    # standardized to ±0.99 and selected, with or without --drop-constant.
+    # standardized to ±0.99 and selected.  It is dropped, and the selected
+    # indices still number the input columns.
     x = np.random.default_rng(4).standard_normal((30, 200))
     x[:, 17] = value
     path = tmp_path / "x.csv"
     np.savetxt(path, x, delimiter=",")
     argv = ["cluster", "--input", str(path), "--k", "2", "--norm", "none",
             "--threshold", "fixed:0"]
-    code, out, err = run(argv, capsys)
-    assert code == 3
-    assert out == "" and err == "error: column 17 has zero variance\n"
-    code, out, _ = run(argv + ["--drop-constant"], capsys)
+    code, out, _ = run(argv, capsys)
     assert code == 0
     assert json.loads(out)["selected"] == [j for j in range(1, 201) if j != 18]
+    code, out, err = run(argv + ["--drop-constant"], capsys)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --drop-constant" in err
 
 
 @pytest.mark.parametrize("method", pipeline.METHODS)
@@ -431,12 +432,12 @@ EXIT_PATHS = {
                           "fixed:1"], PERMUTED, 4, "MAD of KS scores is zero"),
     "cluster one row": (["cluster", "--k", "1"], b"1,2,3\n", 3,
                         "need at least 2 samples (rows)"),
-    "cluster all constant": (["cluster", "--k", "1", "--drop-constant"],
-                             b"1,2\n1,2\n1,2\n", 3, "column 0 has zero variance"),
+    "cluster all constant": (["cluster", "--k", "1"], b"1,2\n1,2\n1,2\n", 3,
+                             "every column is constant (zero variance)"),
     "cluster truncate p=1": (["cluster", "--k", "2", "--method", "pca", "--truncate"],
                              b"1\n2\n4\n8\n", 3, TRUNCATE_P1),
     "cluster truncate p=1 after drop": (
-        ["cluster", "--k", "2", "--method", "pca", "--truncate", "--drop-constant"],
+        ["cluster", "--k", "2", "--method", "pca", "--truncate"],
         b"1,5\n2,5\n4,5\n8,5\n", 3, TRUNCATE_P1),
     "parameter count": (["simulate"], {"g_mu": {"kind": "uniform", "params": [1.0]}},
                         2, "uniform takes 2 parameters"),

@@ -59,7 +59,7 @@ def planted(seed, n, p, k, width, shift):
 
 
 def fixtures():
-    """name -> (x, K, drop_constant)."""
+    """name -> (x, K)."""
     # test_cli's blob_csv: two far classes in 6 columns (tall).
     blobs = np.random.default_rng(0).standard_normal((40, 6)) * 0.2
     blobs[20:] += 5.0
@@ -73,14 +73,14 @@ def fixtures():
     quarter = np.round(planted(5, 150, 700, 3, 20, 1.5) * 4) / 4
     quarter[:, [0, 511, 512, 699]] = 0.25
     return {
-        "blobs 40x6": (blobs, 2, False),
-        "60x300 C": (x60, 3, False),
-        "60x300 F": (np.asfortranarray(x60), 3, False),
-        "60x300 transposed": (np.ascontiguousarray(x60.T).T, 3, False),
-        "90x1500": (planted(2, 90, 1500, 4, 25, 1.2), 4, False),
-        "exp5 p=2000": (exp5, 4, False),
-        "40x400 repeated rows, offset 1e8": (twice, 2, False),
-        "150x700 quarters, constant columns": (quarter, 3, True),
+        "blobs 40x6": (blobs, 2),
+        "60x300 C": (x60, 3),
+        "60x300 F": (np.asfortranarray(x60), 3),
+        "60x300 transposed": (np.ascontiguousarray(x60.T).T, 3),
+        "90x1500": (planted(2, 90, 1500, 4, 25, 1.2), 4),
+        "exp5 p=2000": (exp5, 4),
+        "40x400 repeated rows, offset 1e8": (twice, 2),
+        "150x700 quarters, constant columns": (quarter, 3),
     }
 
 
@@ -101,11 +101,11 @@ def fixture_outputs(name):
     """Stage digests and every pipeline report of one fixture.  Each run is
     made on the bare array and on one Instance shared by the whole grid;
     the two must agree."""
-    x, k, drop = fixtures()[name]
+    x, k = fixtures()[name]
     out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateGapWarning)
-        w = matrix.standardize_columns(x, drop_constant=drop)
+        w = matrix.standardize_columns(x)
         out["mean"], out["sd"] = digest(w.col_mean), digest(w.col_sd)
         out["kept"] = digest(w.kept_columns)
         out["ks"] = digest(screen.ks_scores(w).scores)
@@ -129,8 +129,7 @@ def fixture_outputs(name):
                     for truncate in (False, True):
                         opts = pipeline.PipelineOptions(
                             k=k, method=method, norm=norm, threshold=threshold,
-                            truncate=truncate, null_table=null, seed=1,
-                            drop_constant=drop)
+                            truncate=truncate, null_table=null, seed=1)
                         bare = outcome(lambda: pipeline.run_pipeline(x, opts))
                         shared = outcome(lambda: pipeline.run_pipeline(inst, opts))
                         assert shared == bare, (method, norm, threshold, truncate)

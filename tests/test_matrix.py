@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ifpca import matrix
 from ifpca.cluster import kmeans
-from ifpca.errors import DegenerateGapWarning, ZeroVarianceColumn
+from ifpca.errors import DegenerateGapWarning
 from ifpca.matrix import (Gram, SpectralEmbedding, entrywise_truncate,
                           standardize_columns, truncated_left_svd)
 
@@ -19,9 +19,9 @@ def test_standardize_symmetric_column():
     assert w.col_sd[0] == 1.0
 
 
-def test_standardize_constant_column_fatal():
-    x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-    with pytest.raises(ZeroVarianceColumn):
+def test_standardize_all_constant_columns_fatal():
+    x = np.array([[5.0, 1.0], [5.0, 1.0], [5.0, 1.0]])
+    with pytest.raises(ValueError, match="every column is constant"):
         standardize_columns(x)
 
 
@@ -29,16 +29,15 @@ def test_standardize_constant_column_fatal():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_standardize_refuses_non_finite_entries(value, threads):
     # The entry sits in the second block, beside a constant column that
-    # drop_constant would drop and a column whose sum overflows: the
-    # non-finite entry is what is reported, and no warning is raised.
+    # is dropped and a column whose sum overflows: the non-finite entry is
+    # what is reported, and no warning is raised.
     x = np.random.default_rng(3).standard_normal((6, matrix._STD_BLOCK + 9))
     x[2, matrix._STD_BLOCK + 4] = value
     x[:, 1] = 7.0
     x[:3, 2] = 1e308
-    for drop in (False, True):
-        with pytest.raises(ValueError, match="non-finite"):
-            with np.errstate(all="raise"):
-                standardize_columns(x, drop_constant=drop, threads=threads)
+    with pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(all="raise"):
+            standardize_columns(x, threads=threads)
 
 
 @pytest.mark.parametrize("n", [3, 71, 577])
@@ -46,13 +45,10 @@ def test_standardize_refuses_non_finite_entries(value, threads):
 def test_standardize_constant_column_whose_mean_rounds(value, n):
     # The mean of n copies of value need not round to value, and then the
     # computed SD is of order eps, not 0 (a column of 0.1 at n=3: 1.7e-17).
-    # The column is constant all the same: it raises, or is dropped.
+    # The column is constant all the same, and is dropped.
     x = np.random.default_rng(n).standard_normal((n, 4))
     x[:, 2] = value
-    with pytest.raises(ZeroVarianceColumn) as err:
-        standardize_columns(x)
-    assert err.value.column == 2
-    w = standardize_columns(x, drop_constant=True)
+    w = standardize_columns(x)
     assert np.array_equal(w.kept_columns, [0, 1, 3])
     keep = [0, 1, 3]
     assert np.array_equal(w.columns(), (x[:, keep] - x.mean(0)[keep]) / x.std(0, ddof=1)[keep])
@@ -66,7 +62,7 @@ def test_standardize_two_point_column():
 
 def test_standardize_drop_constant_records_map():
     x = np.array([[5.0, 1.0, 7.0], [5.0, 2.0, 8.0], [5.0, 3.0, 9.0]])
-    w = standardize_columns(x, drop_constant=True)
+    w = standardize_columns(x)
     assert w.columns().shape == (3, 2)
     np.testing.assert_array_equal(w.kept_columns, [1, 2])
 
@@ -96,21 +92,16 @@ def test_standardize_matches_literal_formula(n, p, constant, last_constant, bloc
     keep = np.flatnonzero(x.std(0, ddof=1) > 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrix, "_STD_BLOCK", block)
-        if keep.size < p:
-            # Without drop_constant a constant column is an error.
-            with pytest.raises(ZeroVarianceColumn):
-                standardize_columns(x, threads=threads)
         if keep.size == 0:
+            with pytest.raises(ValueError, match="every column is constant"):
+                standardize_columns(x, threads=threads)
             return
-        w = standardize_columns(x, drop_constant=True, threads=threads)
-        full = standardize_columns(x, threads=threads) if keep.size == p else None
+        w = standardize_columns(x, threads=threads)
     want = (x[:, keep] - x.mean(0)[keep]) / x.std(0, ddof=1)[keep]
     assert np.array_equal(w.columns(), want)
     assert np.array_equal(w.col_mean, x.mean(0)[keep])
     assert np.array_equal(w.col_sd, x.std(0, ddof=1)[keep])
     assert np.array_equal(w.kept_columns, keep)
-    if full is not None:
-        assert np.array_equal(full.columns(), want)
 
 
 def test_standardize_blocks_on_more_threads_than_cores(monkeypatch):
@@ -149,7 +140,7 @@ def _standardized(seed, n, p, order):
     columns dropped, so that its columns are gathered, not sliced, from x."""
     x = np.random.default_rng(seed).standard_normal((n, p + 2)) * 3.0 + 1.0
     x[:, [0, p // 2 + 1]] = 4.0
-    return standardize_columns(np.asarray(x, order=order), drop_constant=True)
+    return standardize_columns(np.asarray(x, order=order))
 
 
 @settings(max_examples=30)

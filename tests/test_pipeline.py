@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifpca import matrix
+from ifpca import cli, matrix, screen
 from ifpca.acm import AcmConfig, DistributionSpec, generate
-from ifpca.errors import EmptySelection
+from ifpca.errors import EmptySelection, InvalidK
 from ifpca.pipeline import (
     METHODS,
     NORMS,
@@ -21,7 +21,8 @@ from ifpca.pipeline import (
     run_pipeline,
 )
 from ifpca.cluster import hierarchical_complete, kmeans
-from ifpca.screen import build_null_table, ks_scores, select_features
+from ifpca.screen import (build_null_table, ks_scores, normalize_scores,
+                          null_reference_values, pvalues, select_features)
 from ifpca.matrix import (Gram, entrywise_truncate, standardize_columns,
                           truncated_left_svd)
 
@@ -63,6 +64,9 @@ def test_options_validation():
             PipelineOptions(k=2, threads=threads)
     with pytest.raises(ValueError, match="null_reps"):
         PipelineOptions(k=2, null_reps=-5)
+    # Refused even for hier, which draws no replicate.
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        PipelineOptions(k=2, method="hier", replicates=0)
     PipelineOptions(k=2, null_reps=0, threads=1)   # 0 = default table size
     assert PipelineOptions(k=2).threads is None     # None = every usable core
     PipelineOptions(k=2, threads=None)
@@ -137,16 +141,15 @@ def test_drop_constant_reports_input_columns():
     x = rng.standard_normal((60, 40))
     x[:, :5] = 2.5
     x[y == 1, 10:18] += 4.5
-    w = standardize_columns(x, drop_constant=True)
+    w = standardize_columns(x)
     scores = ks_scores(w).scores
     screened = run_pipeline(x, PipelineOptions(
-        k=2, threshold="fixed:1.0", norm="none", drop_constant=True), truth=y)
+        k=2, threshold="fixed:1.0", norm="none"), truth=y)
     np.testing.assert_array_equal(screened.selected,
                                   np.flatnonzero(scores >= 1.0) + 6)
     assert set(range(11, 19)) <= set(screened.selected.tolist())
     assert screened.selected.min() > 5
-    baseline = run_pipeline(x, PipelineOptions(
-        k=2, method="kmeans", drop_constant=True), truth=y)
+    baseline = run_pipeline(x, PipelineOptions(k=2, method="kmeans"), truth=y)
     np.testing.assert_array_equal(baseline.selected, np.arange(6, 41))
 
 
@@ -223,6 +226,66 @@ def null40():
     return build_null_table(40, 5000, seed=98)
 
 
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(100, 600),
+       norm=st.sampled_from(["none", "meanstd"]))
+def test_hc_rank_obeys_its_constraints_on_null_data(seed, p, norm, null40):
+    # On pure N(0,1) data HC's rank lands on null fluctuations; the rank rule
+    # holds all the same: j_hat < p/2, pi_(j_hat) > log(p)/p, and no smaller
+    # eligible rank has an HC value at least as high.  pi and the HC curve
+    # are computed here from the p-values, not read from hc.
+    n = 40
+    x = np.random.default_rng(seed).standard_normal((n, p))
+    rep = run_pipeline(x, PipelineOptions(k=2, norm=norm, null_table=null40))
+    scores = normalize_scores(ks_scores(standardize_columns(x)), norm,
+                              null=null40).scores
+    pi = np.sort(pvalues(scores, null_reference_values(null40, norm)))
+    frac = np.arange(1, p + 1) / p
+    curve = math.sqrt(p) * (frac - pi) / np.sqrt(
+        np.maximum(math.sqrt(n) * (frac - pi), 0.0) + frac)
+    eligible = (frac < 0.5) & (pi > math.log(p) / p)
+    j = rep.j_hat
+    assert j < p / 2
+    assert pi[j - 1] > math.log(p) / p
+    assert not (eligible[:j - 1] & (curve[:j - 1] >= curve[j - 1])).any()
+    assert curve[j - 1] == curve[eligible].max()
+    assert rep.threshold == np.sort(scores)[::-1][j - 1]
+
+
+X4 = [[1.0, 5.0], [2.0, 3.0], [4.0, 5.0], [8.0, 1.0]]
+# name: (options, with null_table the n of a table to build, the data matrix,
+# the error and its message)
+SHAPE_ERRORS = {
+    "K > n": ({"k": 5}, X4, InvalidK, "K=5 must lie in [1, n=4]"),
+    "null table n": ({"k": 2, "null_table": 5}, X4, ValueError,
+                     "null table was built at n=5, data has n=4"),
+    "truncate p=1 after drop": (
+        {"k": 2, "truncate": True}, [[1.0, 5.0], [2.0, 5.0], [4.0, 5.0], [8.0, 5.0]],
+        ValueError, "--truncate needs p >= 2 columns: its clip level "
+                    "log(p)/sqrt(n) is 0 at p=1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_shape_errors_come_before_scoring(case, monkeypatch):
+    # Each used to be found only after the KS scores and the null table,
+    # which take seconds at the default table size.
+    changes, x, error, message = SHAPE_ERRORS[case]
+    if "null_table" in changes:
+        changes = {**changes,
+                   "null_table": build_null_table(changes["null_table"], 100, seed=0)}
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("scoring was reached")
+
+    monkeypatch.setattr(screen, "ks_scores", unreached)
+    monkeypatch.setattr(screen, "build_null_table", unreached)
+    with pytest.raises(error) as err:
+        run_pipeline(np.array(x), PipelineOptions(**changes))
+    assert str(err.value) == message
+    assert cli._exit_code(err.value) == cli.EXIT_DATA
+
+
 def _outcome(x, opts, truth):
     """The timing-free report of a run, or the error it raised."""
     try:
@@ -237,7 +300,7 @@ def _outcome(x, opts, truth):
            norm=st.sampled_from(NORMS),
            threshold=st.sampled_from(["hc", "fixed:1.0", "fixed-q:0.1"]),
            replicates=st.integers(1, 4), seed=st.integers(0, 3),
-           threads=st.sampled_from([1, 2]), drop_constant=st.booleans()),
+           threads=st.sampled_from([1, 2])),
            min_size=1, max_size=8),
        seed=st.integers(0, 999), wide=st.booleans(), constant=st.booleans())
 def test_shared_instance_matches_separate_runs(options, seed, wide, constant,

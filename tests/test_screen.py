@@ -279,7 +279,7 @@ def test_ks_scores_of_raw_x_match_every_entry_form(n, p, layout, decimals, colla
         x = np.repeat(x, 2, axis=1)[:, ::2]
     if (np.ptp(x, axis=0) == 0).all():
         return
-    w = standardize_columns(x, drop_constant=True, threads=threads)
+    w = standardize_columns(x, threads=threads)
     got = ks_scores(w, threads=threads).scores
     assert not set(constant) & set(w.kept_columns)
     assert np.array_equal(got, ks_rows_every_entry(np.sort(w.columns().T, axis=1)))
