@@ -1,5 +1,5 @@
 """One thread fan-out for the standardization and KS column blocks and
-the null-table chunks, and forked workers for the text loader."""
+the Monte-Carlo chunks, and forked workers for the text loader."""
 
 import contextlib
 import os
@@ -29,8 +29,8 @@ def workers(threads, cells):
 
 
 def parallel_map(fn, items, threads, cells):
-    """fn over items on workers(threads, cells) worker threads (inline when
-    that is 1), results yielded lazily and in order.
+    """[fn(item) for item in items], on workers(threads, cells) worker
+    threads (inline when that is 1).
 
     Callers split their work into pieces fixed without reference to
     `threads`, so results do not depend on it.  numpy's sorts, ufuncs and
@@ -39,9 +39,8 @@ def parallel_map(fn, items, threads, cells):
     threads = workers(threads, cells)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            yield from ex.map(fn, items)
-    else:
-        yield from map(fn, items)
+            return list(ex.map(fn, items))
+    return [fn(item) for item in items]
 
 
 @contextlib.contextmanager

@@ -334,7 +334,8 @@ def cmd_tailcheck(args):
         delta, m = args.alt
         k = len(delta)
         tau_j = float(acm.tau(np.array(m)[:, None], delta, args.n)[0])
-        psis = screen.simulate_alt_scores(args.n, args.reps, delta, m, args.seed)
+        psis = screen.simulate_alt_scores(args.n, args.reps, delta, m,
+                                          args.seed, threads=args.threads)
         writer.writerow(["t", "empirical_miss", "bound"])
         for t in args.grid:
             miss = float(np.mean(psis <= t))
@@ -439,7 +440,7 @@ def build_parser():
     c.add_argument("--null-table")
     c.add_argument("--null-reps", type=_int_at_least(0), default=0)
     c.add_argument("--replicates", type=_int_at_least(1), default=30)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_int_at_least(0), default=0)
     c.add_argument("--threads", type=_int_at_least(1), help=_THREADS_HELP)
     c.add_argument("--transpose", action="store_true")
     c.add_argument("--truncate", action="store_true")
@@ -453,7 +454,7 @@ def build_parser():
     g.add_argument("--config", help="JSON file with a single model config")
     s.add_argument("--reps", type=_int_at_least(1), default=None,
                    help="override the preset repetition count")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_int_at_least(0), default=0)
     s.add_argument("--methods", type=_methods_arg,
                    default=",".join(SIMULATE_METHODS))
     s.add_argument("--null-reps", type=_int_at_least(0), default=0)
@@ -463,7 +464,7 @@ def build_parser():
     t = sub.add_parser("nulltable", help="simulate and store a null table")
     t.add_argument("--n", type=_int_at_least(2), required=True)
     t.add_argument("--reps", type=_int_at_least(1), required=True)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_int_at_least(0), default=0)
     t.add_argument("--out", required=True)
     t.add_argument("--threads", type=_int_at_least(1), help=_THREADS_HELP)
     t.set_defaults(func=cmd_nulltable)
@@ -475,10 +476,8 @@ def build_parser():
                    help="comma-separated thresholds")
     k.add_argument("--alt", type=_alt_arg,
                    help="useful-feature spec 'delta=d1,..,dK;m=m1,..,mK'")
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--threads", type=_int_at_least(1),
-                   help="workers for the null table (default: every "
-                        "usable core); --alt draws on one thread")
+    k.add_argument("--seed", type=_int_at_least(0), default=0)
+    k.add_argument("--threads", type=_int_at_least(1), help=_THREADS_HELP)
     k.set_defaults(func=cmd_tailcheck)
     return p
 

@@ -114,9 +114,8 @@ def standardize_columns(x, threads=None):
     edges = list(range(0, p, _STD_BLOCK)) + [p]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    for _ in parallel_map(standardize_block,
-                          map(slice, edges[:-1], edges[1:]), threads, n * p):
-        pass
+    parallel_map(standardize_block, map(slice, edges[:-1], edges[1:]),
+                 threads, n * p)
     if not finite.all():
         raise ValueError("data matrix contains non-finite entries")
     # A non-finite mean makes the SD non-finite too.

@@ -55,6 +55,8 @@ class PipelineOptions:
             raise ValueError("threads must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.null_reps < 0:
             raise ValueError("null_reps must be >= 0 (0 = default size)")
 

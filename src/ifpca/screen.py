@@ -18,7 +18,7 @@ MAD_SCALE = 1.4826
 _NULL_CHUNK_TARGET = 4_000_000
 
 # Cache-sized pieces of work: ks_scores sorts and scores _KS_BLOCK columns at
-# a time (2.4 MB at n=577), and build_null_table draws and scores a chunk
+# a time (2.4 MB at n=577), and _draw_scores draws and scores a chunk
 # _NULL_BUFFER_CELLS cells at a time (1.2 MB).  Neither changes any value.
 _KS_BLOCK = 512
 _NULL_BUFFER_CELLS = 150_000
@@ -73,7 +73,7 @@ def _ks_of_sorted(srt, center, scale):
     less 1e-12, are evaluated in full.  Every candidate for the maximum is
     the same expression as on the every-entry path, so the result is too.
     """
-    # ks_scores and build_null_table make the first import before their
+    # ks_scores and _draw_scores make the first import before their
     # workers start.
     from scipy.special import ndtr
 
@@ -137,9 +137,8 @@ def ks_scores(w, threads=None):
     # The kernel's scipy.special, imported on this thread before the workers
     # start, so that no two of them make the first import at once.
     import scipy.special  # noqa: F401
-    blocks = parallel_map(score_block, range(0, w.p, _KS_BLOCK), threads,
-                          w.n * w.p)
-    return KsScores(scores=np.concatenate(list(blocks)))
+    return KsScores(scores=np.concatenate(parallel_map(
+        score_block, range(0, w.p, _KS_BLOCK), threads, w.n * w.p)))
 
 
 def _null_psi_batch(z):
@@ -155,15 +154,13 @@ def _null_psi_batch(z):
     return _ks_of_sorted(z, np.zeros(len(z)), sd)
 
 
-def build_null_table(n, reps, seed, threads=None):
-    """Simulate `reps` draws of the null statistic at sample size n.
-
-    Each draw standardizes n iid N(0,1) samples and scores them, matching the
-    pipeline statistic exactly.  The chunks run on `threads` workers (None:
-    every usable core, for a large enough table; see _parallel.workers).
-    Chunk seeds derive from (seed, chunk index) with a chunk size that
-    depends only on n, so the table is identical for any thread count.
-    """
+def _draw_scores(n, reps, seed, threads, draw):
+    """`reps` screening statistics at sample size n, in order: draw(rng, z)
+    fills each buffer z of r×n samples, which are standardized and scored by
+    row.  Chunks of _NULL_CHUNK_TARGET // n draws, each from a generator
+    seeded with (seed, chunk index), run on `threads` workers (None: every
+    usable core, for enough draws; see _parallel.workers).  Chunk and buffer
+    sizes depend only on n, so the draws are identical for any thread count."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if reps < 1:
@@ -173,43 +170,42 @@ def build_null_table(n, reps, seed, threads=None):
     values = np.empty(reps)
 
     def fill_chunk(start):
-        # One generator per chunk; drawing its stream a buffer at a time
-        # gives the same numbers as drawing the whole chunk at once.
         rng = np.random.default_rng([seed, start // chunk])
         buf = np.empty((rows, n))
         end = min(start + chunk, reps)
         for lo in range(start, end, rows):
             z = buf[:min(rows, end - lo)]
-            rng.standard_normal(out=z)
+            draw(rng, z)
             values[lo:lo + z.shape[0]] = _null_psi_batch(z)
 
     # As in ks_scores: the kernel's import, before the workers start.
     import scipy.special  # noqa: F401
-    for _ in parallel_map(fill_chunk, range(0, reps, chunk), threads, reps * n):
-        pass
+    parallel_map(fill_chunk, range(0, reps, chunk), threads, reps * n)
+    return values
+
+
+def build_null_table(n, reps, seed, threads=None):
+    """Simulate `reps` draws of the null statistic at sample size n: n iid
+    N(0,1) samples, standardized and scored exactly as the pipeline scores a
+    feature (see _draw_scores)."""
+    values = _draw_scores(n, reps, seed, threads,
+                          lambda rng, z: rng.standard_normal(out=z))
     values.sort()
     return NullTable(n=n, seed=seed, values=values)
 
 
-def simulate_alt_scores(n, reps, delta, m, seed):
+def simulate_alt_scores(n, reps, delta, m, seed, threads=None):
     """`reps` draws of the screening statistic at a useful feature: n samples
-    N(m[c], 1) with class c ~ delta, scored as build_null_table scores its
-    draws, from one generator in chunks of build_null_table's size, so on
-    the calling thread alone."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    N(m[c], 1) with class c ~ delta, drawn and scored as build_null_table's
+    (see _draw_scores)."""
     m = np.asarray(m, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    psis = np.empty(reps)
-    chunk = max(1, _NULL_CHUNK_TARGET // n)
-    for start in range(0, reps, chunk):
-        b = min(chunk, reps - start)
-        labels = rng.choice(m.size, size=(b, n), p=delta)
-        z = rng.standard_normal((b, n)) + m[labels]
-        psis[start:start + b] = _null_psi_batch(z)
-    return psis
+
+    def draw(rng, z):
+        labels = rng.choice(m.size, size=z.shape, p=delta)
+        rng.standard_normal(out=z)
+        z += m[labels]
+
+    return _draw_scores(n, reps, seed, threads, draw)
 
 
 def default_null_size(p):

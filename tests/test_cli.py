@@ -1,4 +1,5 @@
 import collections
+import csv
 import json
 import math
 import os
@@ -367,6 +368,16 @@ def test_simulate_tiny_config_deterministic(tmp_path, capsys):
         assert 0.0 <= mean <= 0.5
 
 
+def test_simulate_experiment_tags_each_noise_variant(capsys):
+    code, out, _ = run(["simulate", "--experiment", "4", "--reps", "1",
+                        "--methods", "kmeans"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [r["experiment"] for r in rows] == ["4"] * 3
+    assert [r["setting"].split(";")[-1] for r in rows] == [
+        "variant=band(0)", "variant=random(5)", "variant=random(20)"]
+
+
 TINY_CONFIG = {"k": 2, "p": 150, "theta": 0.8, "vartheta": 0.25, "r": 2.0,
                "rep": 2, "delta": [1 / 3, 2 / 3], "gamma": [0.5, 0.0, 0.5],
                "g_mubar": {"kind": "normal", "params": [0.0, 1.0]},
@@ -559,6 +570,10 @@ def test_tailcheck_negative_grid_is_usage_error(capsys):
     (["tailcheck", "--grid", "1,,2"], 2),
     (["tailcheck", "--grid", "nan"], 2),
     (["tailcheck", "--grid", "0.5,inf"], 2),
+    (["cluster", "--seed", "-1"], 2),
+    (["simulate", "--seed", "-1"], 2),
+    (["nulltable", "--seed", "-1"], 2),
+    (["tailcheck", "--seed", "-1"], 2),
 ])
 def test_malformed_argv_exit_code(argv, code, blob_csv, capsys, tmp_path):
     # argv options given after the common ones override them
@@ -657,6 +672,28 @@ def test_simulate_one_shares_stages_across_methods(monkeypatch):
     assert cfg.p > cfg.n
     assert +calls == {"standardize_columns": 2, "ks_scores": 2, "__init__": 2,
                       "eigh": 2, "_sq_dists_of": 2}
+
+
+def test_default_null_size_is_asked_for_at_the_scored_width(monkeypatch):
+    # max(10**6, 100 p) draws, p the scored columns: 12000 of 12050 in the
+    # pipeline once the constant ones are dropped, and cfg.p in simulate_one.
+    asked = []
+
+    def recorded(n, reps, seed, threads=None):
+        asked.append(reps)
+        return build_null_table(n, 2000, seed, threads=threads)
+
+    monkeypatch.setattr(screen, "build_null_table", recorded)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((30, 12050))
+    x[:, -50:] = 1.0
+    x[:10, :300] += 3.0
+    pipeline.run_pipeline(x, pipeline.PipelineOptions(
+        k=2, norm="none", hc_fallback=True))
+    cfg = acm.AcmConfig.from_dict(dict(TINY_CONFIG, p=11000, theta=0.35))
+    cli.simulate_one(cfg, ("ifpca",), 1, 0, {}, null_reps=0)
+    assert asked == [100 * 12000, 100 * 11000]
+    assert screen.default_null_size(150) == 10**6
 
 
 @pytest.mark.parametrize("argv, code", [

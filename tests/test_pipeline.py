@@ -64,6 +64,8 @@ def test_options_validation():
             PipelineOptions(k=2, threads=threads)
     with pytest.raises(ValueError, match="null_reps"):
         PipelineOptions(k=2, null_reps=-5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        PipelineOptions(k=2, seed=-1)
     # Refused even for hier, which draws no replicate.
     with pytest.raises(ValueError, match="replicates must be >= 1"):
         PipelineOptions(k=2, method="hier", replicates=0)

@@ -3,6 +3,7 @@ thread bit for bit; small stages stay on the calling thread.  The text
 loader gives the matrix and the errors of one worker for any worker count."""
 
 import hashlib
+import io
 import os
 import signal
 import subprocess
@@ -38,6 +39,16 @@ def test_default_null_table_is_the_one_thread_table(n, reps):
     default = screen.build_null_table(n, reps, 19).values.tobytes()
     assert default == screen.build_null_table(n, reps, 19, threads=1).values.tobytes()
     assert hashlib.sha256(default).hexdigest() == NULL_SHA256[n, reps]
+
+
+def test_alt_scores_do_not_depend_on_the_thread_count():
+    # 15000 draws at n=577 span three chunks, the last one short.
+    one = screen.simulate_alt_scores(577, 15000, [0.3, 0.7], [1.0, -0.4], 19,
+                                     threads=1)
+    for threads in (2, 3, None):
+        got = screen.simulate_alt_scores(577, 15000, [0.3, 0.7], [1.0, -0.4],
+                                         19, threads=threads)
+        assert got.tobytes() == one.tobytes()
 
 
 def test_default_stages_are_the_one_thread_stages():
@@ -227,10 +238,21 @@ def test_loader_pieces_give_the_inline_errors(case, inline_loads, tmp_path):
     assert inline_loads == [str(path)] * (1 + len(WORKERS))
 
 
+parse_piece = cli._parse_piece
+
+
 def die_on_second_piece(path, piece, out):
     if piece[0] > 0:
         os.kill(os.getpid(), signal.SIGKILL)
-    return cli._parse_piece(path, piece, out)
+    return parse_piece(path, piece, out)
+
+
+def shape_only_on_second_piece(path, piece, out):
+    if piece[0] == 0:
+        return parse_piece(path, piece, out)
+    parsed = io.BytesIO()
+    parse_piece(path, piece, parsed)
+    out.write(parsed.getvalue()[:16])
 
 
 def test_loader_child_that_dies_falls_back_inline(monkeypatch, tmp_path):
@@ -239,6 +261,17 @@ def test_loader_child_that_dies_falls_back_inline(monkeypatch, tmp_path):
     one = cli.load_matrix(str(path), threads=1)
     monkeypatch.setattr(cli, "_parse_piece", die_on_second_piece)
     assert cli.load_matrix(str(path), threads=3).tobytes() == one.tobytes()
+
+
+def test_loader_piece_without_its_data_falls_back_inline(monkeypatch,
+                                                         inline_loads, tmp_path):
+    # Every shape arrives; the second piece's values do not.
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"".join(rows(20, 3, 9)))
+    one = cli.load_matrix(str(path), threads=1)
+    monkeypatch.setattr(cli, "_parse_piece", shape_only_on_second_piece)
+    assert cli.load_matrix(str(path), threads=2).tobytes() == one.tobytes()
+    assert inline_loads == [str(path)] * 2
 
 
 def test_loader_children_write_nothing_to_stderr(tmp_path):
